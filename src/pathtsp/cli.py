@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .decompose import decompose
 from .errors import (
@@ -24,9 +23,9 @@ from .instances import (
     GraphicalInstance,
     Instance,
     generate_random_metric,
+    instance_from_dict,
     instance_to_dict,
     metric_closure,
-    read_instance,
     validate_metric,
     write_instance,
 )
@@ -47,32 +46,20 @@ from .tjoin import wrong_parity_set
 USAGE_ERROR, INPUT_ERROR, INVARIANT_ERROR = 1, 2, 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    instance: str | None = None
-    variant: str = "golden"
-    tau: float | None = None
-    theta: float | None = None
-    sigma: float | None = None
-    kappa: float | None = None
-    rho: float = GOLDEN_RATIO
-    seed: int = 0
-    n: int = 0
-    output: str | None = None
-    verbose: bool = False
-    hoogeveen: bool = False
-
-    def validate(self):
-        if self.tau is not None and not (0.0 < self.tau <= 1.0):
-            raise ValueError(f"--tau must be in (0, 1], got {self.tau}")
-        if self.theta is not None and not (0.0 < self.theta < 1.0):
-            raise ValueError(f"--theta must be in (0, 1), got {self.theta}")
-        if not (1.5 <= self.rho < 2.0):
-            raise ValueError(f"--rho must be in [1.5, 2), got {self.rho}")
-        for name, val in (("sigma", self.sigma), ("kappa", self.kappa)):
-            if val is not None and val < 0.0:
-                raise ValueError(f"--{name} must be nonnegative, got {val}")
+def _check_ranges(args: argparse.Namespace):
+    """Range checks on the options the chosen command has."""
+    tau, theta = getattr(args, "tau", None), getattr(args, "theta", None)
+    rho = getattr(args, "rho", None)
+    if tau is not None and not (0.0 < tau <= 1.0):
+        raise ValueError(f"--tau must be in (0, 1], got {tau}")
+    if theta is not None and not (0.0 < theta < 1.0):
+        raise ValueError(f"--theta must be in (0, 1), got {theta}")
+    if rho is not None and not (1.5 <= rho < 2.0):
+        raise ValueError(f"--rho must be in [1.5, 2), got {rho}")
+    for name in ("sigma", "kappa"):
+        val = getattr(args, name, None)
+        if val is not None and val < 0.0:
+            raise ValueError(f"--{name} must be nonnegative, got {val}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,22 +121,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_metric(path: str) -> tuple[Instance, dict]:
-    raw = _read_json(path)
-    inst = read_instance(path)
-    if isinstance(inst, GraphicalInstance):
-        inst = metric_closure(inst)
-    return inst, raw
-
-
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ParseError(f"{path}: no such file") from exc
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: top-level value must be an object")
+    return raw
 
 
 def _emit(payload: dict, output: str | None):
@@ -169,21 +153,23 @@ def _require_valid(inst: Instance):
         )
 
 
-def _run(cfg: RunConfig) -> dict:
-    if cfg.command == "gen":
-        if cfg.n < 2:
-            raise _UsageError(f"--n must be at least 2, got {cfg.n}")
-        inst = generate_random_metric(cfg.n, cfg.seed)
-        if cfg.output:
-            write_instance(inst, cfg.output)
-            _emit({"written": cfg.output, "n": cfg.n, "seed": cfg.seed}, None)
+def _run(args: argparse.Namespace) -> dict | None:
+    if args.command == "gen":
+        if args.n < 2:
+            raise _UsageError(f"--n must be at least 2, got {args.n}")
+        inst = generate_random_metric(args.n, args.seed)
+        if args.output:
+            write_instance(inst, args.output)
+            _emit({"written": args.output, "n": args.n, "seed": args.seed}, None)
             return None
         return instance_to_dict(inst)
 
-    if cfg.command == "validate":
-        loaded = read_instance(cfg.instance)
+    raw = _read_json(args.instance)
+    loaded = instance_from_dict(raw, args.instance)
+
+    if args.command == "validate":
         if isinstance(loaded, GraphicalInstance):
-            inst = metric_closure(loaded)  # raises when disconnected
+            metric_closure(loaded)  # raises when disconnected
             return {"valid": True, "type": "graph", "violations": []}
         report = validate_metric(loaded)
         payload = {
@@ -198,35 +184,21 @@ def _run(cfg: RunConfig) -> dict:
             raise _InvalidReport(payload)
         return payload
 
-    if cfg.command == "graphical":
-        loaded = read_instance(cfg.instance)
+    if args.command == "graphical":
         if not isinstance(loaded, GraphicalInstance):
             raise InvalidInstanceError("graphical solver needs a graph-type instance")
-        kwargs = {}
-        if cfg.theta is not None:
-            kwargs["theta"] = cfg.theta
-        if cfg.sigma is not None:
-            kwargs["sigma"] = cfg.sigma
-        if cfg.kappa is not None:
-            kwargs["kappa"] = cfg.kappa
+        kwargs = {
+            name: getattr(args, name)
+            for name in ("theta", "sigma", "kappa")
+            if getattr(args, name) is not None
+        }
         return solve_graphical(loaded, **kwargs).to_dict()
 
-    if cfg.command == "pc":
-        raw = _read_json(cfg.instance)
-        inst, _ = _load_metric(cfg.instance)
-        _require_valid(inst)
-        prizes = raw.get("prizes")
-        if prizes is None:
-            raise ParseError(f"{cfg.instance}: missing field \"prizes\"")
-        pc = PCInstance.from_internal(inst, prizes)
-        return pc_solve(pc, rho=cfg.rho).to_dict()
+    inst = metric_closure(loaded) if isinstance(loaded, GraphicalInstance) else loaded
 
-    if cfg.command == "exact":
-        raw = _read_json(cfg.instance)
-        inst, _ = _load_metric(cfg.instance)
+    if args.command == "exact":
         if "prizes" in raw:
-            pc = PCInstance.from_internal(inst, raw["prizes"])
-            res = exact_pc_path(pc)
+            res = exact_pc_path(PCInstance.from_internal(inst, raw["prizes"]))
         else:
             res = exact_path_tsp(inst)
         return {
@@ -235,52 +207,58 @@ def _run(cfg: RunConfig) -> dict:
             "explored": res.explored,
         }
 
-    inst, _ = _load_metric(cfg.instance)
     _require_valid(inst)
 
-    if cfg.command == "hk":
+    if args.command == "pc":
+        prizes = raw.get("prizes")
+        if prizes is None:
+            raise ParseError(f"{args.instance}: missing field \"prizes\"")
+        pc = PCInstance.from_internal(inst, prizes)
+        return pc_solve(pc, rho=args.rho).to_dict()
+
+    if args.command == "hk":
         return hk_solve(inst).to_dict()
 
-    if cfg.command == "solve":
+    if args.command == "solve":
         hk = hk_solve(inst)
-        sol = solve_hoogeveen(inst, hk) if cfg.hoogeveen else solve_bom(inst, hk=hk)
+        sol = solve_hoogeveen(inst, hk) if args.hoogeveen else solve_bom(inst, hk=hk)
         payload = sol.to_dict()
         payload.update(
             {
                 "hk_value": sol.hk_value,
                 "ratio_vs_hk": sol.cost / sol.hk_value if sol.hk_value else 1.0,
-                "guarantee": (5.0 / 3.0 if cfg.hoogeveen else GOLDEN_RATIO),
-                "method": "hoogeveen" if cfg.hoogeveen else "bom",
+                "guarantee": (5.0 / 3.0 if args.hoogeveen else GOLDEN_RATIO),
+                "method": "hoogeveen" if args.hoogeveen else "bom",
             }
         )
-        if not cfg.hoogeveen:
+        if not args.hoogeveen:
             payload["weighted_average"] = sol.weighted_average
         return payload
 
-    if cfg.command == "decompose":
+    if args.command == "decompose":
         hk = hk_solve(inst)
         return decompose(hk).to_dict()
 
-    if cfg.command == "narrow":
+    if args.command == "narrow":
         hk = hk_solve(inst)
-        return compute_narrow_cuts(hk, cfg.tau).to_dict()
+        return compute_narrow_cuts(hk, args.tau).to_dict()
 
-    if cfg.command == "certify":
+    if args.command == "certify":
         hk = hk_solve(inst)
         combo = decompose(hk)
-        _, _, tau = variant_parameters(cfg.variant)
+        _, _, tau = variant_parameters(args.variant)
         pair_cuts = pairwise_forced_cuts(hk) if tau > 0.0 else None
         structure = compute_narrow_cuts(hk, tau, pair_cuts) if tau > 0.0 else None
         flows = (
             solve_fractional_disjoint(structure, hk)
-            if cfg.variant == "golden"
+            if args.variant == "golden"
             else None
         )
         certs = []
         all_feasible = True
         for tree in combo.trees:
             T = wrong_parity_set(tree, hk.s, hk.t)
-            cert = build_certificate(hk, tree, T, cfg.variant, structure, flows)
+            cert = build_certificate(hk, tree, T, args.variant, structure, flows)
             report = verify_certificate(cert, inst)
             all_feasible &= report.feasible
             certs.append(certificate_to_dict(cert, report))
@@ -289,7 +267,7 @@ def _run(cfg: RunConfig) -> dict:
             raise _InfeasibleCertificates(payload)
         return payload
 
-    raise _UsageError(f"unknown command {cfg.command}")
+    raise _UsageError(f"unknown command {args.command}")
 
 
 class _InvalidReport(Exception):
@@ -308,37 +286,21 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = RunConfig(
-            command=args.command,
-            instance=getattr(args, "instance", None),
-            variant=getattr(args, "variant", "golden"),
-            tau=getattr(args, "tau", None),
-            theta=getattr(args, "theta", None),
-            sigma=getattr(args, "sigma", None),
-            kappa=getattr(args, "kappa", None),
-            rho=getattr(args, "rho", GOLDEN_RATIO),
-            seed=getattr(args, "seed", 0),
-            n=getattr(args, "n", 0),
-            output=getattr(args, "output", None),
-            verbose=args.verbose,
-        )
-        cfg.validate()
-        if cfg.command == "solve":
-            cfg = RunConfig(**{**cfg.__dict__, "hoogeveen": args.hoogeveen})
+        _check_ranges(args)
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        payload = _run(cfg)
+        payload = _run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except _InvalidReport as exc:
-        _emit(exc.payload, cfg.output)
+        _emit(exc.payload, args.output)
         print("invalid instance", file=sys.stderr)
         return INPUT_ERROR
     except _InfeasibleCertificates as exc:
-        _emit(exc.payload, cfg.output)
+        _emit(exc.payload, args.output)
         print("certificate infeasible", file=sys.stderr)
         return INVARIANT_ERROR
     except (ParseError, InvalidInstanceError, NotConnectedError, SizeLimitError) as exc:
@@ -348,9 +310,9 @@ def main(argv=None) -> int:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return INVARIANT_ERROR
     if payload is not None:
-        _emit(payload, cfg.output)
-    if cfg.verbose:
-        print(f"{cfg.command}: ok", file=sys.stderr)
+        _emit(payload, args.output)
+    if args.verbose:
+        print(f"{args.command}: ok", file=sys.stderr)
     return 0
 
 

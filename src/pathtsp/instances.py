@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -19,6 +20,11 @@ import numpy as np
 from .errors import InvalidInstanceError, NotConnectedError, ParseError
 
 TRIANGLE_TOL = 1e-9
+
+
+def is_number(value) -> bool:
+    """True for real numbers, including numpy scalars, but not for bools."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -282,10 +288,14 @@ def instance_from_dict(data: dict, path: str = "<data>") -> Instance | Graphical
     n = _require(data, "n", path)
     s = _require(data, "s", path)
     t = _require(data, "t", path)
-    if not isinstance(n, int) or not isinstance(s, int) or not isinstance(t, int):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, s, t)):
         raise ParseError(f"{path}: fields n/s/t must be integers")
+    if n < 0:
+        raise ParseError(f"{path}: field \"n\" must be nonnegative, got {n}")
     if kind == "metric":
         costs = _require(data, "costs", path)
+        if not isinstance(costs, list):
+            raise ParseError(f"{path}: field \"costs\" must be a list of numbers")
         want = n * (n - 1) // 2
         if len(costs) != want:
             raise ParseError(
@@ -296,7 +306,7 @@ def instance_from_dict(data: dict, path: str = "<data>") -> Instance | Graphical
         for u in range(n):
             for v in range(u + 1, n):
                 w = next(it)
-                if not isinstance(w, (int, float)):
+                if not is_number(w):
                     raise ParseError(f"{path}: non-numeric cost for edge ({u},{v})")
                 mat[u, v] = mat[v, u] = float(w)
         try:

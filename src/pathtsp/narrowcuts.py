@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decompose import _DisjointSet
 from .errors import InvalidInstanceError, InvariantError
 from .exact import CUT_ENUM_CAP, all_cut_capacities
 from .heldkarp import HKSolution
@@ -151,21 +152,14 @@ def compute_narrow_cuts(
         return pair_cuts[(u, v)] < threshold
 
     # incomparability classes of the precedence relation
-    parent = {v: v for v in internals}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    ds = _DisjointSet(n)
     for i, u in enumerate(internals):
         for v in internals[i + 1 :]:
             if not precedes(u, v) and not precedes(v, u):
-                parent[find(u)] = find(v)
+                ds.union(v, u)
     classes: dict[int, list[int]] = {}
     for v in internals:
-        classes.setdefault(find(v), []).append(v)
+        classes.setdefault(ds.find(v), []).append(v)
     groups = [sorted(members) for members in classes.values()]
 
     # the classes must form a strict total order

@@ -2,11 +2,12 @@
 exactly derandomized combination with a primal-dual style oracle.
 
 The LP couples edge variables with per-vertex inclusion variables y_v
-(internal degree = 2*y_v) and is solved by the same row-generation scheme as
-the plain relaxation. Rounding keeps every vertex with y_v above a
-threshold gamma and runs the golden-ratio path solver on the induced
-sub-instance; instead of sampling gamma, all O(n) distinct sublevel sets in
-(a, 1) are evaluated and combined with their exact interval weights.
+(internal degree = 2*y_v) and is solved by the same row-generation engine
+as the plain relaxation (`heldkarp.row_generation`). Rounding keeps every
+vertex with y_v above a threshold gamma and runs the golden-ratio path
+solver on the induced sub-instance; instead of sampling gamma, all O(n)
+distinct sublevel sets in (a, 1) are evaluated and combined with their
+exact interval weights.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInstanceError, InvariantError, IterationLimitError, SizeLimitError
+from .errors import InvalidInstanceError, InvariantError, SizeLimitError
 from .exact import exact_pc_path
-from .instances import EdgeVector, Instance, all_edges
-from .maxflow import min_cut_merged
-from .simplex import LinearProgram, simplex_solve
+from .heldkarp import cut_row, degree_rows, edge_point, probe_cuts, row_generation
+from .instances import EdgeVector, Instance, all_edges, is_number
 from .solver import GOLDEN_RATIO, solve_bom
 
 PC_TOL = 1e-7
@@ -50,6 +50,10 @@ class PCInstance:
     def from_internal(cls, inst: Instance, internal_prizes: Sequence[float]) -> "PCInstance":
         """Build from prizes listed per internal vertex in ascending order."""
         internal = inst.internal
+        if not isinstance(internal_prizes, (Sequence, np.ndarray)) or not all(
+            is_number(v) for v in internal_prizes
+        ):
+            raise InvalidInstanceError("prizes must be a sequence of numbers")
         if len(internal_prizes) != len(internal):
             raise InvalidInstanceError(
                 f"expected {len(internal)} internal prizes, got {len(internal_prizes)}"
@@ -85,76 +89,35 @@ def pc_lp_solve(pc: PCInstance, tol: float = PC_TOL) -> PCLPSolution:
     per-vertex probe is exact for the whole family.
     """
     inst = pc.inst
-    n, s, t = inst.n, inst.s, inst.t
+    n = inst.n
     edges = all_edges(n)
     m = len(edges)
     internal = inst.internal
-    k = len(internal)
-    ypos = {v: m + i for i, v in enumerate(internal)}
-    index = {e: i for i, e in enumerate(edges)}
-    width = m + k
-    prize_total = float(pc.prizes.sum())
-    objective = [float(inst.cost[u, v]) for u, v in edges] + [
-        -float(pc.prizes[v]) for v in internal
-    ]
-    base_rows: list[tuple] = []
-    for v in range(n):
-        coeffs = [0.0] * width
-        for u in range(n):
-            if u == v:
-                continue
-            coeffs[index[(min(u, v), max(u, v))]] = 1.0
-        if v in (s, t):
-            base_rows.append((coeffs, "=", 1.0))
-        else:
-            coeffs[ypos[v]] = -2.0
-            base_rows.append((coeffs, "=", 0.0))
-    bounds = [(0.0, 2.0)] * m + [(0.0, 1.0)] * k
-    cut_rows: list[tuple] = []
-    seen: set[tuple] = set()
-    cap_rounds = 50 * n * n
-    for rounds in range(1, cap_rounds + 1):
-        lp = LinearProgram(
-            tuple(objective), tuple(base_rows + cut_rows), tuple(bounds)
-        )
-        res = simplex_solve(lp)
-        if res.status != "optimal":
-            raise InvariantError(f"prize-collecting LP came back {res.status}")
-        xvec = EdgeVector({e: v for e, v in zip(edges, res.x) if v > 1e-12})
-        yvals = {v: float(res.x[ypos[v]]) for v in internal}
-        weights = np.maximum(xvec.to_matrix(n), 0.0)
-        new_rows = []
-        cap, side = min_cut_merged(weights, [s], [t])
-        if cap < 1.0 - tol:
-            key = ("st", frozenset(side))
-            if key not in seen:
-                seen.add(key)
-                coeffs = [0.0] * width
-                for i, (u, v) in enumerate(edges):
-                    if (u in side) != (v in side):
-                        coeffs[i] = 1.0
-                new_rows.append((coeffs, ">=", 1.0))
-        for v in internal:
-            if yvals[v] <= tol:
-                continue
-            cap, side = min_cut_merged(weights, [v], [s, t])
-            if cap < 2.0 * yvals[v] - tol:
-                key = (v, frozenset(side))
-                if key not in seen:
-                    seen.add(key)
-                    coeffs = [0.0] * width
-                    for i, (a, b) in enumerate(edges):
-                        if (a in side) != (b in side):
-                            coeffs[i] = 1.0
-                    coeffs[ypos[v]] = -2.0
-                    new_rows.append((coeffs, ">=", 0.0))
-        if not new_rows:
-            return PCLPSolution(
-                xvec, yvals, res.objective + prize_total, rounds
-            )
-        cut_rows.extend(new_rows)
-    raise IterationLimitError(
-        f"prize-collecting separation did not converge within {cap_rounds} rounds"
+    ycol = {v: m + i for i, v in enumerate(internal)}
+    width = m + len(internal)
+
+    def violated(z):
+        y = {v: z[ycol[v]] for v in internal}
+        probes = probe_cuts(edge_point(edges, z), inst, [v for v in internal if y[v] > tol])
+        rows = []
+        for v, cap, side in probes:
+            if v is None and cap < 1.0 - tol:
+                rows.append(cut_row(side, edges, width, 1.0))
+            elif v is not None and cap < 2.0 * y[v] - tol:
+                rows.append(cut_row(side, edges, width, 0.0, ycol[v]))
+        return rows
+
+    res, rounds = row_generation(
+        [inst.cost[u, v] for u, v in edges] + [-pc.prizes[v] for v in internal],
+        [(0.0, 2.0)] * m + [(0.0, 1.0)] * len(internal),
+        degree_rows(inst, edges, width, ycol),
+        violated,
+        50 * n * n,
+        "prize-collecting",
+    )
+    y = {v: res.x[ycol[v]] for v in internal}
+    return PCLPSolution(
+        edge_point(edges, res.x), y, res.objective + float(pc.prizes.sum()), rounds
     )
 
 

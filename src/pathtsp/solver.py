@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .decompose import TreeCombination, decompose, max_weight_spanning_tree
 from .errors import InvalidInstanceError
 from .heldkarp import HKSolution, hk_solve
-from .instances import EdgeVector, Instance, validate_metric
+from .instances import EdgeVector, Instance, all_edges, validate_metric
 from .tjoin import eulerian_path, min_tjoin, shortcut, wrong_parity_set
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -102,12 +102,8 @@ def solve_bom(
 
 
 def minimum_spanning_tree(inst: Instance) -> frozenset[tuple[int, int]]:
-    weights = EdgeVector({e: -inst.cost[e[0], e[1]] for e in _complete_edges(inst.n)})
+    weights = EdgeVector({e: -inst.cost[e[0], e[1]] for e in all_edges(inst.n)})
     return max_weight_spanning_tree(inst.n, weights, restrict_to_support=False)
-
-
-def _complete_edges(n: int):
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
 def solve_hoogeveen(inst: Instance, hk: HKSolution | None = None) -> PathSolution:

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import networkx as nx
 import numpy as np
 
+from .decompose import _DisjointSet
 from .errors import InvalidInstanceError, InvariantError
 from .exact import brute_force_matching
 from .instances import Instance, edge_key
@@ -66,19 +67,11 @@ def _check_tree(tree: Sequence[tuple[int, int]]):
     verts = {v for e in edges for v in e}
     if len(edges) != len(verts) - 1:
         raise InvalidInstanceError("edge count is not |V|-1; not a tree")
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    label = {v: i for i, v in enumerate(verts)}
+    ds = _DisjointSet(len(verts))
     for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        if not ds.union(label[u], label[v]):
             raise InvalidInstanceError("cycle detected; not a tree")
-        parent[rv] = ru
     return edges, verts
 
 

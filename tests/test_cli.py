@@ -142,6 +142,29 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     nofield.write_text(json.dumps({"type": "metric", "n": 2, "s": 0, "costs": [1.0]}))
     assert main(["solve", str(nofield)]) == 2
     capsys.readouterr()
+    # unreadable files
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for command, path in (
+        ("validate", missing),
+        ("graphical", missing),
+        ("solve", tmp_path),
+        ("solve", binary),
+    ):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2 and err.count("\n") == 1, (command, path, err)
+    tri = {"type": "metric", "n": 3, "s": 0, "t": 2, "costs": [1.0, 1.0, 1.0]}
+    malformed = [
+        ("solve", {**tri, "costs": 5}),
+        ("solve", {**tri, "s": True}),
+        ("solve", {**tri, "n": -1, "costs": [1.0]}),
+        ("pc", {**tri, "n": 4, "t": 3, "costs": [1.0] * 6, "prizes": "ab"}),
+    ]
+    for i, (command, payload) in enumerate(malformed):
+        bad = tmp_path / f"malformed{i}.json"
+        bad.write_text(json.dumps(payload))
+        code, _, err = run(capsys, command, str(bad))
+        assert code == 2 and err.count("\n") == 1, (payload, err)
 
 
 def test_non_metric_input_exits_two(tmp_path, capsys):

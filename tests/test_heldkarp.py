@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hamiltonian_path_instance
+from pathtsp import heldkarp
+from pathtsp.errors import InvariantError
 from pathtsp.exact import all_cut_capacities, exact_path_tsp
 from pathtsp.heldkarp import hk_solve, hk_verify, separate
 from pathtsp.instances import (
@@ -13,6 +15,7 @@ from pathtsp.instances import (
     generate_random_metric,
     metric_closure,
 )
+from pathtsp.prize import PCInstance, pc_lp_solve
 from pathtsp.simplex import LinearProgram, simplex_solve
 
 TOL = 1e-7
@@ -155,3 +158,21 @@ def test_hk_graphical_mass_is_n_minus_one(seed):
     hk = hk_solve(inst)
     assert hk.x.total() == pytest.approx(inst.n - 1, abs=1e-6)
     assert hk.value >= inst.n - 1 - 1e-6
+
+
+@pytest.mark.parametrize("solve", ["hk", "pc"])
+def test_stale_cut_raises(monkeypatch, solve):
+    """A probe that keeps reporting a cut the LP already has must not end the
+    row generation as if the point were optimal."""
+    def stale_probe(weights, source_group, sink_group):
+        # capacity 0 on the source group's own star: always "violated", and
+        # implied by the degree rows, so the LP optimum never changes
+        return 0.0, frozenset(source_group)
+
+    monkeypatch.setattr(heldkarp, "min_cut_merged", stale_probe)
+    inst = generate_random_metric(6, 2)
+    with pytest.raises(InvariantError, match="already in the LP"):
+        if solve == "hk":
+            hk_solve(inst)
+        else:
+            pc_lp_solve(PCInstance.from_internal(inst, [0.5] * 4))

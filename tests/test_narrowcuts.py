@@ -33,7 +33,7 @@ def _path_hk(n, seed):
     inst, path_edges = hamiltonian_path_instance(n, seed)
     x = EdgeVector.from_edges(path_edges)
     value = x.dot_costs(inst)
-    return inst, HKSolution(x, value, 0, (), n, inst.s, inst.t), path_edges
+    return inst, HKSolution(x, value, 0, n, inst.s, inst.t), path_edges
 
 
 def test_variant_tables_match_formula():
