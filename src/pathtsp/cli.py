@@ -21,11 +21,11 @@ from .graphical import solve_graphical
 from .heldkarp import hk_solve
 from .instances import (
     GraphicalInstance,
-    Instance,
     generate_random_metric,
     instance_from_dict,
     instance_to_dict,
     metric_closure,
+    require_metric,
     validate_metric,
     write_instance,
 )
@@ -145,14 +145,6 @@ def _emit(payload: dict, output: str | None):
         print(text)
 
 
-def _require_valid(inst: Instance):
-    report = validate_metric(inst)
-    if report:
-        raise InvalidInstanceError(
-            f"instance violates {len(report)} metric invariant(s)"
-        )
-
-
 def _run(args: argparse.Namespace) -> dict | None:
     if args.command == "gen":
         if args.n < 2:
@@ -207,21 +199,9 @@ def _run(args: argparse.Namespace) -> dict | None:
             "explored": res.explored,
         }
 
-    _require_valid(inst)
-
-    if args.command == "pc":
-        prizes = raw.get("prizes")
-        if prizes is None:
-            raise ParseError(f"{args.instance}: missing field \"prizes\"")
-        pc = PCInstance.from_internal(inst, prizes)
-        return pc_solve(pc, rho=args.rho).to_dict()
-
-    if args.command == "hk":
-        return hk_solve(inst).to_dict()
-
     if args.command == "solve":
-        hk = hk_solve(inst)
-        sol = solve_hoogeveen(inst, hk) if args.hoogeveen else solve_bom(inst, hk=hk)
+        # both solvers run the metric guard themselves
+        sol = solve_hoogeveen(inst) if args.hoogeveen else solve_bom(inst)
         payload = sol.to_dict()
         payload.update(
             {
@@ -234,6 +214,18 @@ def _run(args: argparse.Namespace) -> dict | None:
         if not args.hoogeveen:
             payload["weighted_average"] = sol.weighted_average
         return payload
+
+    require_metric(inst)
+
+    if args.command == "pc":
+        prizes = raw.get("prizes")
+        if prizes is None:
+            raise ParseError(f"{args.instance}: missing field \"prizes\"")
+        pc = PCInstance.from_internal(inst, prizes)
+        return pc_solve(pc, rho=args.rho).to_dict()
+
+    if args.command == "hk":
+        return hk_solve(inst).to_dict()
 
     if args.command == "decompose":
         hk = hk_solve(inst)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvariantError, IterationLimitError, NotConnectedError
 from .instances import EdgeVector, all_edges
 from .simplex import LinearProgram, simplex_solve
@@ -106,30 +108,28 @@ def decompose(xstar, n: int | None = None, tol: float = RESIDUAL_TOL) -> TreeCom
     m = len(support)
     trees: list[frozenset] = [max_weight_spanning_tree(n, EdgeVector(target))]
     idx = {e: i for i, e in enumerate(support)}
+    # master rows: one per support edge (tree marginal + sigma+ - sigma- =
+    # target), then sum(lambda) = 1; columns are the trees, sigma+, sigma-
+    slack_cols = np.vstack([np.hstack([np.eye(m), -np.eye(m)]), np.zeros((1, 2 * m))])
+    rhs = np.array(list(target.values()) + [1.0])
     cap_rounds = max(20 * m, 20)
     lambdas: list[float] = [1.0]
     slack = float("inf")
     for _ in range(cap_rounds):
         k = len(trees)
-        width = k + 2 * m
-        objective = [0.0] * k + [1.0] * (2 * m)
-        rows = []
-        for e, i in idx.items():
-            coeffs = [0.0] * width
-            for j, tree in enumerate(trees):
-                if e in tree:
-                    coeffs[j] = 1.0
-            coeffs[k + i] = 1.0  # sigma+
-            coeffs[k + m + i] = -1.0  # sigma-
-            rows.append((coeffs, "=", target[e]))
-        rows.append(([1.0] * k + [0.0] * (2 * m), "=", 1.0))
+        tree_cols = np.ones((m + 1, k))
+        tree_cols[:m] = [[e in tree for tree in trees] for e in support]
         lp = LinearProgram(
-            tuple(objective), tuple(rows), tuple((0.0, None) for _ in range(width))
+            np.concatenate([np.zeros(k), np.ones(2 * m)]),
+            np.hstack([tree_cols, slack_cols]),
+            rhs,
+            m + 1,
+            ((0.0, None),) * (k + 2 * m),
         )
         res = simplex_solve(lp)
         if res.status != "optimal":
             raise InvariantError(f"decomposition master LP came back {res.status}")
-        lambdas = list(res.x[:k])
+        lambdas = res.x[:k].tolist()
         slack = res.objective
         duals = res.row_duals
         edge_duals = EdgeVector({e: duals[i] for e, i in idx.items()})

@@ -7,10 +7,9 @@ these are test oracles, not production paths.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -251,40 +250,3 @@ def brute_force_matching(
 
     rec(tuple(pts), [], 0.0)
     return best, float(best_cost)
-
-
-def brute_force_path_scan(inst: Instance) -> float:
-    """Permutation-scan optimum, an independent check on the subset DP."""
-    internal = [v for v in range(inst.n) if v not in (inst.s, inst.t)]
-    if len(internal) > 8:
-        raise SizeLimitError("permutation scan limited to 8 internal vertices")
-    best = np.inf
-    for perm in itertools.permutations(internal):
-        best = min(best, inst.path_cost([inst.s, *perm, inst.t]))
-    return float(best)
-
-
-def all_spanning_trees(n: int) -> Iterable[frozenset[tuple[int, int]]]:
-    """All labeled spanning trees of K_n via Pruefer sequences (n^(n-2))."""
-    if n == 1:
-        yield frozenset()
-        return
-    if n == 2:
-        yield frozenset({(0, 1)})
-        return
-    if n > 7:
-        raise SizeLimitError("tree enumeration limited to n <= 7")
-    for seq in itertools.product(range(n), repeat=n - 2):
-        deg = [1] * n
-        for v in seq:
-            deg[v] += 1
-        edges = []
-        avail = [True] * n
-        for v in seq:
-            leaf = min(u for u in range(n) if avail[u] and deg[u] == 1)
-            edges.append((min(leaf, v), max(leaf, v)))
-            avail[leaf] = False
-            deg[v] -= 1
-        rest = [u for u in range(n) if avail[u]]
-        edges.append((min(rest), max(rest)))
-        yield frozenset(edges)

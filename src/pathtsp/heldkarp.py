@@ -8,7 +8,10 @@ super-node, one probe per internal vertex.
 
 `row_generation`, `degree_rows`, `cut_row` and `probe_cuts` are the one
 engine behind both this relaxation and the prize-collecting LP in
-`prize.py`, which adds an inclusion column y_v per internal vertex.
+`prize.py`, which adds an inclusion column y_v per internal vertex. Rows are
+NumPy arrays: `degree_rows` gives the equality block as one matrix, each
+`cut_row` one `>=` row, and `row_generation` stacks new cut rows under the
+matrix it hands to `simplex_solve`.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import InvariantError, IterationLimitError
-from .instances import EdgeVector, Instance, all_edges, edge_key
+from .instances import EdgeVector, Instance, all_edges
 from .maxflow import min_cut_merged
-from .simplex import LinearProgram, Row, SimplexResult, simplex_solve
+from .simplex import LinearProgram, SimplexResult, simplex_solve
 
 HK_TOL = 1e-7
 
@@ -59,68 +62,67 @@ class HKSolution:
 
 
 def row_generation(
-    objective, bounds, base_rows: list[Row],
-    violated: Callable[[tuple[float, ...]], list[Row]], cap_rounds: int, what: str,
+    objective, bounds, base_rows, violated: Callable[[np.ndarray], list], cap_rounds: int,
+    what: str,
 ) -> tuple[SimplexResult, int]:
-    """Minimize objective over base_rows plus rows generated on demand.
+    """Minimize objective over the equalities base_rows = (matrix, rhs) plus
+    >= rows generated on demand.
 
     Each round solves the LP and asks ``violated(z)`` for the rows its
-    optimum z breaks, as hashable tuples like `cut_row` builds; those not
-    added in an earlier round are appended.
+    optimum z breaks, as (row, rhs) pairs like `cut_row` builds; those not
+    added in an earlier round are appended to the matrix.
     Returns the optimal result and the round count once nothing is violated.
     A round whose violated rows are all in the LP already means the LP and
     the separation disagree, and raises instead of returning z.
     """
-    rows = list(base_rows)
-    added: set[Row] = set()
+    rows, rhs = base_rows
+    n_eq = len(rows)
+    added: set[tuple[bytes, float]] = set()
     res = None
     for rounds in range(1, cap_rounds + 1):
-        res = simplex_solve(LinearProgram(objective, tuple(rows), bounds))
+        res = simplex_solve(LinearProgram(objective, rows, rhs, n_eq, bounds))
         if res.status != "optimal":
             raise InvariantError(f"{what} LP came back {res.status}")
         cuts = violated(res.x)
         if not cuts:
             return res, rounds
-        new = [row for row in cuts if row not in added]
+        new = [(row, b) for row, b in cuts if (row.tobytes(), b) not in added]
         if not new:
             raise InvariantError(f"{what} separation found only cuts already in the LP")
-        added.update(new)
-        rows.extend(new)
+        added.update((row.tobytes(), b) for row, b in new)
+        rows = np.vstack([rows] + [row for row, _ in new])
+        rhs = np.append(rhs, [b for _, b in new])
     raise IterationLimitError(
         f"{what} separation did not converge within {cap_rounds} rounds", best=res
     )
 
 
 def degree_rows(inst: Instance, edges, width: int, ycol: dict[int, int] | None = None):
-    """x(delta(v)) = 1 at s and t and 2 elsewhere; with ycol, internal v
-    instead gets x(delta(v)) - 2*y_v = 0 with y_v in column ycol[v]."""
-    n, s, t = inst.n, inst.s, inst.t
-    index = {e: i for i, e in enumerate(edges)}
-    rows = []
-    for v in range(n):
-        coeffs = [0.0] * width
-        for u in range(n):
-            if u != v:
-                coeffs[index[edge_key(u, v)]] = 1.0
-        if v in (s, t):
-            rows.append((tuple(coeffs), "=", 1.0))
-        elif ycol is None:
-            rows.append((tuple(coeffs), "=", 2.0))
-        else:
-            coeffs[ycol[v]] = -2.0
-            rows.append((tuple(coeffs), "=", 0.0))
-    return rows
+    """(matrix, rhs) of x(delta(v)) = 1 at s and t and 2 elsewhere, one row
+    per vertex; with ycol, internal v instead gets x(delta(v)) - 2*y_v = 0
+    with y_v in column ycol[v]."""
+    ends = np.asarray(edges)
+    matrix = np.zeros((inst.n, width))
+    cols = np.arange(len(ends))
+    matrix[ends[:, 0], cols] = 1.0
+    matrix[ends[:, 1], cols] = 1.0
+    rhs = np.full(inst.n, 2.0)
+    rhs[[inst.s, inst.t]] = 1.0
+    if ycol is not None:
+        internal = list(ycol)
+        matrix[internal, list(ycol.values())] = -2.0
+        rhs[internal] = 0.0
+    return matrix, rhs
 
 
 def cut_row(side: frozenset[int], edges, width: int, rhs: float, ycol: int | None = None):
-    """x(delta(side)) >= rhs; with ycol, x(delta(side)) - 2*y_v >= rhs."""
-    coeffs = [0.0] * width
-    for i, (u, v) in enumerate(edges):
-        if (u in side) != (v in side):
-            coeffs[i] = 1.0
+    """(row, rhs) of x(delta(side)) >= rhs; with ycol, x(delta(side)) - 2*y_v >= rhs."""
+    inside = np.isin(np.asarray(edges), list(side))
+    row = np.zeros(width)
+    row[: len(inside)] = inside[:, 0] != inside[:, 1]
     if ycol is not None:
-        coeffs[ycol] = -2.0
-    return (tuple(coeffs), ">=", rhs)
+        row[ycol] = -2.0
+    return row, float(rhs)
 
 
 def edge_point(edges, z) -> EdgeVector:
@@ -206,16 +208,14 @@ def hk_verify(x: EdgeVector, inst: Instance, tol: float = HK_TOL) -> HKReport:
     """
     from .exact import CUT_ENUM_CAP, enumerate_cut_check
 
-    n, s, t = inst.n, inst.s, inst.t
-    degree = np.zeros(n)
-    for (u, v), w in x.values.items():
-        degree[u] += w
-        degree[v] += w
-    deg_bad = []
-    for v in range(n):
-        want = 1.0 if v in (s, t) else 2.0
-        if abs(degree[v] - want) > tol:
-            deg_bad.append((v, float(degree[v]), want))
+    n = inst.n
+    edges = all_edges(n)
+    matrix, want = degree_rows(inst, edges, len(edges))
+    degree = matrix @ np.array([x.get(u, v) for u, v in edges])
+    deg_bad = [
+        (int(v), float(degree[v]), float(want[v]))
+        for v in np.flatnonzero(np.abs(degree - want) > tol)
+    ]
     if n <= CUT_ENUM_CAP:
         cut_bad = enumerate_cut_check(x, inst, ("hk",), tol=tol)
     else:

@@ -9,7 +9,6 @@ edge list and are converted to a metric instance through `metric_closure`
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from collections import deque
 from dataclasses import dataclass
@@ -205,32 +204,50 @@ def validate_metric(inst: Instance, tol: float = TRIANGLE_TOL) -> list[MetricVio
     """Report every violated metric invariant; empty report means valid.
 
     Triangle violations are recorded as (u, v, w) meaning
-    cost[u][w] > cost[u][v] + cost[v][w] + tol.
+    cost[u][w] > cost[u][v] + cost[v][w] + tol. Entries come in this order:
+    diagonal by vertex; then per pair u < v in row-major order either
+    nonfinite, or symmetry before negative; then triangles by u, w, v.
     """
     c = inst.cost
     n = inst.n
-    out: list[MetricViolation] = []
+    out = [
+        MetricViolation("diagonal", (int(u),), float(c[u, u]))
+        for u in np.flatnonzero(np.diag(c) != 0.0)
+    ]
+    iu, iv = np.triu_indices(n, 1)
+    upper, lower = c[iu, iv], c[iv, iu]
+    finite = np.isfinite(upper) & np.isfinite(lower)
+    for k in np.flatnonzero(~finite | (upper != lower) | (upper < 0)):
+        where = (int(iu[k]), int(iv[k]))
+        if not finite[k]:
+            out.append(MetricViolation("nonfinite", where))
+            continue
+        if upper[k] != lower[k]:
+            out.append(MetricViolation("symmetry", where, float(upper[k] - lower[k])))
+        if upper[k] < 0:
+            out.append(MetricViolation("negative", where, float(upper[k])))
+    # one u at a time keeps memory at O(n^2): slack[i, v] for w = ws[i]
     for u in range(n):
-        if c[u, u] != 0.0:
-            out.append(MetricViolation("diagonal", (u,), float(c[u, u])))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not (math.isfinite(c[u, v]) and math.isfinite(c[v, u])):
-                out.append(MetricViolation("nonfinite", (u, v)))
-                continue
-            if c[u, v] != c[v, u]:
-                out.append(MetricViolation("symmetry", (u, v), float(c[u, v] - c[v, u])))
-            if c[u, v] < 0:
-                out.append(MetricViolation("negative", (u, v), float(c[u, v])))
-    for u in range(n):
-        for w in range(u + 1, n):
-            for v in range(n):
-                if v == u or v == w:
-                    continue
-                slack = c[u, w] - (c[u, v] + c[v, w])
-                if slack > tol:
-                    out.append(MetricViolation("triangle", (u, v, w), float(slack)))
+        ws = np.arange(u + 1, n)
+        slack = c[u, ws][:, None] - (c[u][None, :] + c[:, ws].T)
+        bad = slack > tol
+        bad[:, u] = False
+        bad[np.arange(len(ws)), ws] = False
+        for i, v in zip(*np.nonzero(bad)):
+            out.append(MetricViolation("triangle", (u, int(v), int(ws[i])), float(slack[i, v])))
     return out
+
+
+def require_metric(inst: Instance) -> None:
+    """Raise InvalidInstanceError naming the first violation unless
+    `validate_metric` reports nothing."""
+    report = validate_metric(inst)
+    if report:
+        first = report[0]
+        raise InvalidInstanceError(
+            f"instance violates {len(report)} metric invariant(s); "
+            f"first: {first.kind} at {first.where}"
+        )
 
 
 def metric_closure(g: GraphicalInstance) -> Instance:
@@ -319,7 +336,7 @@ def instance_from_dict(data: dict, path: str = "<data>") -> Instance | Graphical
             return GraphicalInstance(
                 n=n, edges=tuple((int(u), int(v)) for u, v in edges), s=s, t=t
             )
-        except (InvalidInstanceError, TypeError, ValueError) as exc:
+        except (InvalidInstanceError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: bad \"edges\": {exc}") from exc
     raise ParseError(f"{path}: unknown instance type {kind!r}")
 

@@ -25,7 +25,7 @@ from .errors import InvalidInstanceError, InvariantError
 from .exact import CUT_ENUM_CAP, all_cut_capacities
 from .heldkarp import HKSolution
 from .instances import EdgeVector, Instance
-from .maxflow import gomory_hu_splits, gomory_hu_tree, min_cut_merged, push_relabel
+from .maxflow import cut_value, gomory_hu_splits, gomory_hu_tree, min_cut_merged, push_relabel
 from .tjoin import ParitySet, wrong_parity_set
 
 FEAS_TOL = 1e-7
@@ -191,9 +191,7 @@ def compute_narrow_cuts(
     acc: list[int] = []
     for layer in layers[:-1]:
         acc.extend(layer)
-        inside = np.zeros(n, dtype=bool)
-        inside[acc] = True
-        cap = float(weights[np.ix_(inside, ~inside)].sum())
+        cap = cut_value(weights, acc)
         if cap >= threshold:
             raise InvariantError(
                 f"derived prefix {sorted(acc)} has capacity {cap} >= 1 + tau"

@@ -39,6 +39,8 @@ class PCInstance:
             raise InvalidInstanceError(
                 f"prizes must have length n={self.inst.n}, got {p.shape}"
             )
+        if not np.isfinite(p).all():
+            raise InvalidInstanceError("prizes must be finite")
         if (p < 0).any():
             raise InvalidInstanceError("prizes must be nonnegative")
         if p[self.inst.s] != 0.0 or p[self.inst.t] != 0.0:
@@ -115,7 +117,7 @@ def pc_lp_solve(pc: PCInstance, tol: float = PC_TOL) -> PCLPSolution:
         50 * n * n,
         "prize-collecting",
     )
-    y = {v: res.x[ycol[v]] for v in internal}
+    y = {v: float(res.x[ycol[v]]) for v in internal}
     return PCLPSolution(
         edge_point(edges, res.x), y, res.objective + float(pc.prizes.sum()), rounds
     )

@@ -1,16 +1,18 @@
 """Small dense LP surface used by the cutting-plane and pricing loops.
 
-The solve itself is delegated to scipy's HiGHS simplex; this wrapper pins the
-package's contract on top of it: feasibility of the returned point is
-re-checked row by row, and optimality is certified through the dual solution
-(dual feasibility + complementary slackness) before the result is released.
-Infeasible, unbounded and stalled outcomes are reported as distinct verdicts.
+An LP is ``min objective @ x`` subject to ``rows[:n_eq] @ x == rhs[:n_eq]``,
+``rows[n_eq:] @ x >= rhs[n_eq:]`` and per-variable bounds, with all rows in
+one 2-D float array. The solve itself is delegated to scipy's HiGHS simplex;
+this wrapper pins the package's contract on top of it: feasibility of the
+returned point is re-checked against every row and bound, and optimality is
+certified through the dual solution (dual feasibility + complementary
+slackness) before the result is released. Infeasible, unbounded and stalled
+outcomes are reported as distinct verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog as _scipy_linprog
@@ -20,70 +22,57 @@ from .errors import InvariantError
 FEAS_TOL = 1e-8
 DUAL_TOL = 1e-7
 
-Row = tuple[Sequence[float], str, float]  # (coefficients, "<="|">="|"=", rhs)
-
 
 @dataclass(frozen=True)
 class LinearProgram:
-    objective: tuple[float, ...]
-    rows: tuple[Row, ...]
+    objective: np.ndarray
+    rows: np.ndarray  # equality rows first, then >= rows
+    rhs: np.ndarray
+    n_eq: int
     bounds: tuple[tuple[float | None, float | None], ...]
-    maximize: bool = False
 
     def __post_init__(self):
-        width = len(self.objective)
-        rows = []
-        for coeffs, rel, rhs in self.rows:
-            if len(coeffs) != width:
-                raise ValueError(f"row width {len(coeffs)} != objective width {width}")
-            if rel not in ("<=", ">=", "="):
-                raise ValueError(f"unknown relation {rel!r}")
-            rows.append((tuple(float(c) for c in coeffs), rel, float(rhs)))
+        objective = np.asarray(self.objective, dtype=float)
+        width = len(objective)
+        rows = np.asarray(self.rows, dtype=float)
+        if rows.size == 0:
+            rows = rows.reshape(0, width)
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(f"rows of shape {rows.shape} do not match objective width {width}")
+        rhs = np.asarray(self.rhs, dtype=float)
+        if rhs.shape != (len(rows),):
+            raise ValueError(f"{rhs.size} right-hand sides for {len(rows)} rows")
+        if not 0 <= self.n_eq <= len(rows):
+            raise ValueError(f"n_eq={self.n_eq} outside 0..{len(rows)}")
         if len(self.bounds) != width:
             raise ValueError("one bound pair per variable required")
         for lo, hi in self.bounds:
             if lo is not None and hi is not None and lo > hi:
                 raise ValueError(f"bound lower {lo} > upper {hi}")
-        object.__setattr__(self, "objective", tuple(float(c) for c in self.objective))
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "bounds", tuple(self.bounds))
 
 
 @dataclass(frozen=True)
 class SimplexResult:
     status: str  # optimal | infeasible | unbounded | stalled
-    x: tuple[float, ...] | None
+    x: np.ndarray | None
     objective: float | None
-    row_duals: tuple[float, ...] | None  # one per original row, min-sense
+    row_duals: np.ndarray | None  # one per row of the LP
 
 
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """Solve the LP and certify the answer; see module docstring."""
-    width = len(lp.objective)
-    c = np.array(lp.objective)
-    sign = -1.0 if lp.maximize else 1.0
-    a_ub, b_ub, ub_rows = [], [], []
-    a_eq, b_eq, eq_rows = [], [], []
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        arr = np.array(coeffs)
-        if rel == "<=":
-            a_ub.append(arr)
-            b_ub.append(rhs)
-            ub_rows.append((i, 1.0))
-        elif rel == ">=":
-            a_ub.append(-arr)
-            b_ub.append(-rhs)
-            ub_rows.append((i, -1.0))
-        else:
-            a_eq.append(arr)
-            b_eq.append(rhs)
-            eq_rows.append(i)
+    k = lp.n_eq
+    eq, ge = lp.rows[:k], lp.rows[k:]
     res = _scipy_linprog(
-        sign * c,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        lp.objective,
+        A_ub=-ge if len(ge) else None,
+        b_ub=-lp.rhs[k:] if len(ge) else None,
+        A_eq=eq if len(eq) else None,
+        b_eq=lp.rhs[:k] if len(eq) else None,
         bounds=list(lp.bounds),
         method="highs",
     )
@@ -95,67 +84,55 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         return SimplexResult("stalled", None, None, None)
 
     x = np.asarray(res.x)
-    scale = max(1.0, float(np.abs(c).max(initial=0.0)))
-    row_scale = max(
-        1.0, max((float(np.abs(np.array(r[0])).max(initial=0.0)) for r in lp.rows), default=1.0)
-    )
-    _check_feasible(lp, x, row_scale)
-
-    # assemble per-original-row duals (min-sense)
-    duals = np.zeros(len(lp.rows))
-    if a_ub:
-        for (orig, flip), d in zip(ub_rows, np.asarray(res.ineqlin.marginals)):
-            duals[orig] = flip * d
-    if a_eq:
-        for orig, d in zip(eq_rows, np.asarray(res.eqlin.marginals)):
-            duals[orig] = d
-    _check_optimal(lp, x, sign * c, duals, scale * row_scale)
-
-    objective = float(sign * res.fun)
-    if lp.maximize:
-        duals = -duals
-    return SimplexResult("optimal", tuple(float(v) for v in x), objective, tuple(duals))
+    # None bounds become NaN, which no comparison below satisfies
+    lo, hi = np.array(lp.bounds, dtype=float).reshape(-1, 2).T
+    scale = max(1.0, float(np.abs(lp.objective).max(initial=0.0)))
+    row_scale = max(1.0, float(np.abs(lp.rows).max(initial=0.0)))
+    slack = lp.rows @ x - lp.rhs
+    _check_feasible(lp, x, lo, hi, slack, row_scale)
+    duals = np.concatenate([res.eqlin.marginals, -res.ineqlin.marginals])
+    _check_optimal(lp, x, lo, hi, slack, duals, scale * row_scale)
+    return SimplexResult("optimal", x, float(res.fun), duals)
 
 
-def _check_feasible(lp: LinearProgram, x: np.ndarray, row_scale: float):
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else None
+
+
+def _check_feasible(lp, x, lo, hi, slack, row_scale: float):
     tol = FEAS_TOL * row_scale * max(1.0, float(np.abs(x).max(initial=0.0)))
-    for coeffs, rel, rhs in lp.rows:
-        lhs = float(np.dot(coeffs, x))
-        if rel == "<=" and lhs > rhs + tol:
-            raise InvariantError(f"solver returned infeasible point: {lhs} > {rhs}")
-        if rel == ">=" and lhs < rhs - tol:
-            raise InvariantError(f"solver returned infeasible point: {lhs} < {rhs}")
-        if rel == "=" and abs(lhs - rhs) > tol:
-            raise InvariantError(f"solver returned infeasible point: {lhs} != {rhs}")
-    for v, (lo, hi) in zip(x, lp.bounds):
-        if lo is not None and v < lo - tol:
-            raise InvariantError("solver violated a lower bound")
-        if hi is not None and v > hi + tol:
-            raise InvariantError("solver violated an upper bound")
+    k = lp.n_eq
+    bad = _first(np.concatenate([np.abs(slack[:k]) > tol, slack[k:] < -tol]))
+    if bad is not None:
+        rel = "!=" if bad < k else "<"
+        raise InvariantError(
+            f"solver returned infeasible point: {slack[bad] + lp.rhs[bad]} {rel} {lp.rhs[bad]}"
+        )
+    if (x < lo - tol).any():
+        raise InvariantError("solver violated a lower bound")
+    if (x > hi + tol).any():
+        raise InvariantError("solver violated an upper bound")
 
 
-def _check_optimal(lp, x, c_min, duals, scale):
+def _check_optimal(lp, x, lo, hi, slack, duals, scale):
     """Dual feasibility + complementary slackness under min-sense data."""
     tol = DUAL_TOL * max(scale, float(np.abs(duals).max(initial=0.0)))
-    # dual sign and slackness per row
-    for (coeffs, rel, rhs), d in zip(lp.rows, duals):
-        slack = float(np.dot(coeffs, x)) - rhs
-        if rel == "<=" and d > tol:
-            raise InvariantError("dual sign violated on <= row")
-        if rel == ">=" and d < -tol:
-            raise InvariantError("dual sign violated on >= row")
-        if rel != "=" and abs(d * slack) > tol * max(1.0, abs(rhs)):
-            raise InvariantError("complementary slackness violated")
+    k = lp.n_eq
+    if (duals[k:] < -tol).any():
+        raise InvariantError("dual sign violated on >= row")
+    if (np.abs(duals[k:] * slack[k:]) > tol * np.maximum(1.0, np.abs(lp.rhs[k:]))).any():
+        raise InvariantError("complementary slackness violated")
     # reduced costs against active bounds
-    a_matrix = np.array([row[0] for row in lp.rows]) if lp.rows else np.zeros((0, len(x)))
-    reduced = np.asarray(c_min) - (duals @ a_matrix if len(lp.rows) else 0.0)
-    for j, (v, (lo, hi)) in enumerate(zip(x, lp.bounds)):
-        r = float(reduced[j])
-        at_lo = lo is not None and abs(v - lo) <= 1e-7 * max(1.0, abs(lo))
-        at_hi = hi is not None and abs(v - hi) <= 1e-7 * max(1.0, abs(hi))
-        if at_lo and not at_hi and r < -tol:
-            raise InvariantError(f"reduced cost {r} negative at lower bound (var {j})")
-        if at_hi and not at_lo and r > tol:
-            raise InvariantError(f"reduced cost {r} positive at upper bound (var {j})")
-        if not at_lo and not at_hi and abs(r) > tol:
-            raise InvariantError(f"nonzero reduced cost {r} at interior variable {j}")
+    reduced = lp.objective - duals @ lp.rows
+    at_lo = np.abs(x - lo) <= 1e-7 * np.maximum(1.0, np.abs(lo))
+    at_hi = np.abs(x - hi) <= 1e-7 * np.maximum(1.0, np.abs(hi))
+    j = _first(at_lo & ~at_hi & (reduced < -tol))
+    if j is not None:
+        raise InvariantError(f"reduced cost {reduced[j]} negative at lower bound (var {j})")
+    j = _first(at_hi & ~at_lo & (reduced > tol))
+    if j is not None:
+        raise InvariantError(f"reduced cost {reduced[j]} positive at upper bound (var {j})")
+    j = _first(~at_lo & ~at_hi & (np.abs(reduced) > tol))
+    if j is not None:
+        raise InvariantError(f"nonzero reduced cost {reduced[j]} at interior variable {j}")

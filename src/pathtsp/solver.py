@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .decompose import TreeCombination, decompose, max_weight_spanning_tree
-from .errors import InvalidInstanceError
 from .heldkarp import HKSolution, hk_solve
-from .instances import EdgeVector, Instance, all_edges, validate_metric
+from .instances import EdgeVector, Instance, all_edges, require_metric
 from .tjoin import eulerian_path, min_tjoin, shortcut, wrong_parity_set
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -49,15 +48,6 @@ class PathSolution:
         return {"order": list(self.order), "cost": self.cost}
 
 
-def _require_metric(inst: Instance):
-    report = validate_metric(inst)
-    if report:
-        raise InvalidInstanceError(
-            f"instance violates {len(report)} metric invariant(s); "
-            f"first: {report[0]}"
-        )
-
-
 def augment_tree(inst: Instance, tree) -> tuple[list[int], float, float]:
     """Join the wrong-parity set, walk Euler, shortcut. Returns
     (path order, join cost, path cost)."""
@@ -75,7 +65,7 @@ def solve_bom(
 ) -> PathSolution:
     """Derandomized best-of-many pipeline. Precomputed LP/decomposition
     artifacts can be passed in to avoid recomputation."""
-    _require_metric(inst)
+    require_metric(inst)
     if inst.n == 2:
         hk = hk or hk_solve(inst)
         order = (inst.s, inst.t)
@@ -108,7 +98,7 @@ def minimum_spanning_tree(inst: Instance) -> frozenset[tuple[int, int]]:
 
 def solve_hoogeveen(inst: Instance, hk: HKSolution | None = None) -> PathSolution:
     """Single-tree baseline: augment the minimum spanning tree."""
-    _require_metric(inst)
+    require_metric(inst)
     hk = hk or hk_solve(inst)
     if inst.n == 2:
         order = (inst.s, inst.t)

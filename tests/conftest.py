@@ -1,17 +1,21 @@
 """Shared fixtures and independent test oracles.
 
-The oracles here (BFS distances, Edmonds-Karp flow, full exponential LP)
-are deliberately written against different primitives than the package so
-that agreement is meaningful.
+The oracles here (BFS distances, Edmonds-Karp flow, the permutation-scan
+path optimum, Pruefer enumeration of spanning trees) are deliberately
+written against different primitives than the package so that agreement
+is meaningful.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
+from typing import Iterable
 
 import numpy as np
 import pytest
 
+from pathtsp.errors import SizeLimitError
 from pathtsp.instances import GraphicalInstance, Instance
 
 
@@ -87,6 +91,31 @@ def edmonds_karp(cap: np.ndarray, s: int, t: int) -> float:
         total += bottleneck
 
 
+def metric_report_loop(cost: np.ndarray, tol: float) -> list[tuple]:
+    """validate_metric's report as (kind, where, amount) tuples, entry by
+    entry in plain loops over vertices, pairs and triples."""
+    n = cost.shape[0]
+    out = [("diagonal", (u,), float(cost[u, u])) for u in range(n) if cost[u, u] != 0.0]
+    for u in range(n):
+        for v in range(u + 1, n):
+            a, b = float(cost[u, v]), float(cost[v, u])
+            if not (np.isfinite(a) and np.isfinite(b)):
+                out.append(("nonfinite", (u, v), 0.0))
+                continue
+            if a != b:
+                out.append(("symmetry", (u, v), a - b))
+            if a < 0:
+                out.append(("negative", (u, v), a))
+    with np.errstate(invalid="ignore"):
+        for u in range(n):
+            for w in range(u + 1, n):
+                for v in range(n):
+                    slack = cost[u, w] - (cost[u, v] + cost[v, w])
+                    if v not in (u, w) and slack > tol:
+                        out.append(("triangle", (u, v, w), float(slack)))
+    return out
+
+
 def hamiltonian_path_instance(n: int, seed: int):
     """Random metric together with the identity-order Hamiltonian s-t path
     edge set (s=0, t=n-1 relabeled)."""
@@ -96,3 +125,40 @@ def hamiltonian_path_instance(n: int, seed: int):
     inst = Instance(cost=base.cost, s=0, t=n - 1)
     path_edges = [(i, i + 1) for i in range(n - 1)]
     return inst, path_edges
+
+
+def brute_force_path_scan(inst: Instance) -> float:
+    """Permutation-scan optimum, an independent check on the subset DP."""
+    internal = [v for v in range(inst.n) if v not in (inst.s, inst.t)]
+    if len(internal) > 8:
+        raise SizeLimitError("permutation scan limited to 8 internal vertices")
+    best = np.inf
+    for perm in itertools.permutations(internal):
+        best = min(best, inst.path_cost([inst.s, *perm, inst.t]))
+    return float(best)
+
+
+def all_spanning_trees(n: int) -> Iterable[frozenset[tuple[int, int]]]:
+    """All labeled spanning trees of K_n via Pruefer sequences (n^(n-2))."""
+    if n == 1:
+        yield frozenset()
+        return
+    if n == 2:
+        yield frozenset({(0, 1)})
+        return
+    if n > 7:
+        raise SizeLimitError("tree enumeration limited to n <= 7")
+    for seq in itertools.product(range(n), repeat=n - 2):
+        deg = [1] * n
+        for v in seq:
+            deg[v] += 1
+        edges = []
+        avail = [True] * n
+        for v in seq:
+            leaf = min(u for u in range(n) if avail[u] and deg[u] == 1)
+            edges.append((min(leaf, v), max(leaf, v)))
+            avail[leaf] = False
+            deg[v] -= 1
+        rest = [u for u in range(n) if avail[u]]
+        edges.append((min(rest), max(rest)))
+        yield frozenset(edges)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathtsp.cli import main
 from pathtsp.instances import Instance, write_instance
@@ -184,3 +189,70 @@ def test_output_flag_writes_file(tmp_path, capsys, unit_triangle_file):
     payload = json.loads(out.read_text())
     assert payload["cost"] == pytest.approx(2.0)
     capsys.readouterr()
+
+
+_numbers = st.one_of(st.integers(-3, 10), st.floats(), st.booleans())
+_junk = st.one_of(
+    st.none(), st.text(max_size=3), _numbers, st.lists(st.integers(-1, 9), max_size=3)
+)
+
+
+@st.composite
+def _instance_objects(draw):
+    """Mostly instance-shaped JSON objects. Each field is usually well
+    formed, else of a wrong type, size or range; costs are sometimes a valid
+    (uniform) metric; edges and prizes may hold non-numbers, NaN or
+    infinities; some keys go missing; now and then the value is no object."""
+    # sampled_from leans to its first entries, so the last one is the rare case
+    if draw(st.sampled_from(range(10))) == 9:
+        return draw(_junk)
+    n = draw(st.integers(2, 8) | st.integers(-1, 1))
+    size = max(n, 1)
+    m, k = size * (size - 1) // 2, max(size - 2, 0)
+    vertex = st.integers(-1, size)
+    pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
+
+    def field(good, bad=_junk):
+        return draw(bad if draw(st.sampled_from(range(8))) == 7 else good)
+
+    s = field(st.integers(0, size - 1), vertex | _junk)
+    obj = {
+        "type": field(st.sampled_from(["metric", "graph"])),
+        "n": field(st.just(n)),
+        "s": s,
+        "t": field(st.integers(0, size - 1).filter(lambda t: t != s), vertex | _junk),
+        "costs": field(
+            st.floats(0.0, 1e6).map(lambda c: [c] * m)
+            | st.lists(st.floats(0.0, 10.0) | _numbers, min_size=m, max_size=m),
+            st.lists(_numbers | _junk, max_size=m + 2) | _junk,
+        ),
+        "edges": field(
+            st.sets(st.sampled_from(pairs) if pairs else st.nothing()).map(sorted)
+            | st.just(pairs)
+            | st.lists(st.lists(vertex, min_size=2, max_size=2), max_size=3 * size),
+            st.lists(st.lists(vertex | _numbers, min_size=2, max_size=2) | _junk, max_size=6)
+            | _junk,
+        ),
+        "prizes": field(st.lists(st.floats(0.0, 1.0) | _numbers, min_size=k, max_size=k)),
+    }
+    if draw(st.sampled_from(range(5))) == 4:
+        for key in draw(st.sets(st.sampled_from(sorted(obj)), min_size=1, max_size=2)):
+            del obj[key]
+    return obj
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=_instance_objects())
+@example(data={"type": "graph", "n": 3, "s": 0, "t": 1, "edges": [[math.inf, 1]]})
+@example(
+    data={"type": "metric", "n": 4, "s": 0, "t": 1, "costs": [1.0] * 6, "prizes": [math.nan, 0.1]}
+)
+def test_fuzzed_instances_exit_cleanly(tmp_path_factory, data):
+    """Any JSON value, run through every instance-reading command, ends in
+    one of the documented exit codes without an exception escaping."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(data))
+    for command in ("validate", "hk", "solve", "exact", "pc", "decompose", "graphical"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(path)])
+        assert code in (0, 1, 2, 3), (command, data, code)

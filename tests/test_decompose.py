@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import hamiltonian_path_instance
+from conftest import all_spanning_trees, hamiltonian_path_instance
 from pathtsp.decompose import decompose, max_weight_spanning_tree, verify_combination
 from pathtsp.errors import NotConnectedError
-from pathtsp.exact import all_spanning_trees
 from pathtsp.heldkarp import hk_solve
 from pathtsp.instances import EdgeVector, all_edges, generate_random_metric
 

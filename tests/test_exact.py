@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import brute_force_path_scan
 from pathtsp.errors import SizeLimitError
 from pathtsp.exact import (
     brute_force_matching,
-    brute_force_path_scan,
     enumerate_cut_check,
     exact_path_tsp,
     exact_pc_path,

@@ -73,13 +73,14 @@ def _full_exponential_lp_value(inst):
     n = inst.n
     edges = all_edges(n)
     index = {e: i for i, e in enumerate(edges)}
-    rows = []
+    rows, rhs = [], []
     for v in range(n):
         coeffs = [0.0] * len(edges)
         for u in range(n):
             if u != v:
                 coeffs[index[(min(u, v), max(u, v))]] = 1.0
-        rows.append((coeffs, "=", 1.0 if v in (inst.s, inst.t) else 2.0))
+        rows.append(coeffs)
+        rhs.append(1.0 if v in (inst.s, inst.t) else 2.0)
     for mask in range(1, 1 << (n - 1)):
         side = {v for v in range(n - 1) if mask >> v & 1}
         coeffs = [0.0] * len(edges)
@@ -87,10 +88,13 @@ def _full_exponential_lp_value(inst):
             if (u in side) != (v in side):
                 coeffs[i] = 1.0
         separating = (inst.s in side) != (inst.t in side)
-        rows.append((coeffs, ">=", 1.0 if separating else 2.0))
+        rows.append(coeffs)
+        rhs.append(1.0 if separating else 2.0)
     lp = LinearProgram(
         tuple(inst.cost[u, v] for u, v in edges),
-        tuple(rows),
+        rows,
+        rhs,
+        n,
         tuple((0.0, 2.0) for _ in edges),
     )
     res = simplex_solve(lp)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_distances, random_connected_graph
+from conftest import bfs_distances, metric_report_loop, random_connected_graph
 from pathtsp.errors import InvalidInstanceError, NotConnectedError, ParseError
 from pathtsp.exact import exact_path_tsp
 from pathtsp.instances import (
+    TRIANGLE_TOL,
     EdgeVector,
     GraphicalInstance,
     Instance,
@@ -44,6 +45,28 @@ def test_asymmetry_and_negativity_reported():
     inst = Instance(cost=cost, s=0, t=1)
     kinds = {v.kind for v in validate_metric(inst)}
     assert "symmetry" in kinds
+
+    # several kinds at once: the report's entries, amounts and order are pinned
+    cost = np.full((5, 5), 2.0)
+    np.fill_diagonal(cost, 0.0)
+    cost[0, 0] = 0.5
+    cost[0, 1], cost[1, 0] = -0.5, 0.5
+    cost[1, 3] = 5.0
+    cost[2, 4] = cost[4, 2] = np.nan
+    cost[3, 4] = cost[4, 3] = 0.25
+    report = validate_metric(Instance(cost=cost, s=0, t=4))
+    assert [(v.kind, v.where, v.amount) for v in report] == [
+        ("diagonal", (0,), 0.5),
+        ("symmetry", (0, 1), -1.0),
+        ("negative", (0, 1), -0.5),
+        ("symmetry", (1, 3), 3.0),
+        ("nonfinite", (2, 4), 0.0),
+        ("triangle", (0, 1, 2), 0.5),
+        ("triangle", (0, 1, 4), 0.5),
+        ("triangle", (1, 0, 3), 2.5),
+        ("triangle", (1, 2, 3), 1.0),
+        ("triangle", (1, 4, 3), 2.75),
+    ]
 
 
 def test_endpoints_must_differ():
@@ -87,6 +110,22 @@ def test_metric_closure_triangle_exact(seed, n):
         for v in range(n):
             for w in range(n):
                 assert c[u, w] <= c[u, v] + c[v, w]  # exact integers
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    entries=st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, -1.0, np.nan, np.inf, 1e-10]),
+        min_size=49,
+        max_size=49,
+    ),
+)
+def test_validate_metric_matches_loop_reference(n, entries):
+    cost = np.array(entries[: n * n]).reshape(n, n)
+    report = validate_metric(Instance(cost=cost, s=0, t=1))
+    got = [(v.kind, v.where, repr(v.amount)) for v in report]  # repr: NaN == NaN
+    assert got == [(k, w, repr(a)) for k, w, a in metric_report_loop(cost, TRIANGLE_TOL)]
 
 
 def test_generate_two_vertices():

@@ -7,36 +7,37 @@ from pathtsp.simplex import LinearProgram, simplex_solve
 
 
 def test_maximize_single_variable():
-    lp = LinearProgram((1.0,), (((1.0,), "<=", 3.0),), ((0.0, None),), maximize=True)
+    # max x s.t. x <= 3, as min -x s.t. -x >= -3
+    lp = LinearProgram((-1.0,), ((-1.0,),), (-3.0,), 0, ((0.0, None),))
     res = simplex_solve(lp)
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(3.0)
-    assert res.objective == pytest.approx(3.0)
+    assert -res.objective == pytest.approx(3.0)
 
 
 def test_min_sum_with_lower_row():
-    lp = LinearProgram(
-        (1.0, 1.0), (((1.0, 1.0), ">=", 2.0),), ((0.0, None), (0.0, None))
-    )
+    lp = LinearProgram((1.0, 1.0), ((1.0, 1.0),), (2.0,), 0, ((0.0, None), (0.0, None)))
     res = simplex_solve(lp)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(2.0)
 
 
 def test_infeasible_and_unbounded_are_distinct():
-    infeasible = LinearProgram((1.0,), (((1.0,), "<=", -1.0),), ((0.0, None),))
+    infeasible = LinearProgram((1.0,), ((-1.0,),), (1.0,), 0, ((0.0, None),))
     assert simplex_solve(infeasible).status == "infeasible"
-    unbounded = LinearProgram((-1.0,), (), ((0.0, None),))
+    unbounded = LinearProgram((-1.0,), (), (), 0, ((0.0, None),))
     assert simplex_solve(unbounded).status == "unbounded"
 
 
 def test_bad_rows_rejected():
     with pytest.raises(ValueError):
-        LinearProgram((1.0,), (((1.0, 2.0), "<=", 1.0),), ((0.0, None),))
+        LinearProgram((1.0,), ((1.0, 2.0),), (1.0,), 0, ((0.0, None),))
     with pytest.raises(ValueError):
-        LinearProgram((1.0,), (), ((2.0, 1.0),))
+        LinearProgram((1.0,), (), (), 0, ((2.0, 1.0),))
     with pytest.raises(ValueError):
-        LinearProgram((1.0,), (((1.0,), "<>", 1.0),), ((0.0, None),))
+        LinearProgram((1.0,), ((1.0,),), (1.0, 2.0), 0, ((0.0, None),))
+    with pytest.raises(ValueError):
+        LinearProgram((1.0,), ((1.0,),), (1.0,), 2, ((0.0, None),))
 
 
 def _vertex_enumeration_optimum(c, rows, bounds):
@@ -93,7 +94,10 @@ def test_random_lp_matches_vertex_enumeration():
             coeffs = rng.normal(size=n)
             rows.append((tuple(coeffs), "<=", float(rng.uniform(1.0, 3.0))))
         bounds = tuple((0.0, 2.0) for _ in range(n))
-        lp = LinearProgram(tuple(c), tuple(rows), bounds)
+        # the oracle's <= rows enter the LP as negated >= rows
+        lp = LinearProgram(
+            tuple(c), [-np.array(r[0]) for r in rows], [-r[2] for r in rows], 0, bounds
+        )
         res = simplex_solve(lp)
         assert res.status == "optimal"
         oracle = _vertex_enumeration_optimum(c, rows, bounds)
@@ -103,13 +107,10 @@ def test_random_lp_matches_vertex_enumeration():
 def test_solution_respects_constraints_tightly():
     rng = np.random.default_rng(11)
     c = rng.normal(size=4)
-    rows = [
-        (tuple(rng.normal(size=4)), "=", 1.0),
-        (tuple(rng.normal(size=4)), ">=", -1.0),
-    ]
-    lp = LinearProgram(tuple(c), tuple(rows), tuple((-3.0, 3.0) for _ in range(4)))
+    rows = rng.normal(size=(2, 4))  # one = row, then one >= row
+    lp = LinearProgram(tuple(c), rows, (1.0, -1.0), 1, tuple((-3.0, 3.0) for _ in range(4)))
     res = simplex_solve(lp)
     assert res.status == "optimal"
     x = np.array(res.x)
-    assert abs(float(np.dot(rows[0][0], x)) - 1.0) < 1e-8
-    assert float(np.dot(rows[1][0], x)) > -1.0 - 1e-8
+    assert abs(float(np.dot(rows[0], x)) - 1.0) < 1e-8
+    assert float(np.dot(rows[1], x)) > -1.0 - 1e-8
