@@ -1,8 +1,11 @@
-"""Brute-force ground truth: subset-DP path TSP, exact prize-collecting paths,
-exhaustive cut enumeration, exhaustive perfect-matching search.
+"""Exact solvers: one Held-Karp subset DP behind the path-TSP and
+prize-collecting oracles, exhaustive cut enumeration and matching search.
 
-Every routine carries a hard size cap and refuses larger inputs outright;
-these are test oracles, not production paths.
+Every routine has a hard size cap and refuses larger inputs. They are the
+tests' ground truth and also run in production: `pd_oracle` (the default
+oracle of `pc_solve`) calls `exact_pc_path`, `solve_graphical` answers
+n <= 6 with `exact_path_tsp`, cut verification enumerates up to
+CUT_ENUM_CAP and `min_tjoin` checks small matchings exhaustively.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ from .instances import EdgeVector, Instance
 PATH_TSP_CAP = 20
 PC_PATH_CAP = 15
 CUT_ENUM_CAP = 16
+# Masks per block when the subset DP extends a popcount layer: the block's
+# (masks, k, k) float array stays under 0.2 MB at PATH_TSP_CAP, so it stays
+# in cache and the DP's peak memory is about that of its dp array.
+_DP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -26,6 +33,61 @@ class ExactResult:
     optimum: float
     witness: tuple
     explored: int
+
+
+def _mask_sums(values: np.ndarray) -> np.ndarray:
+    """out[mask] = sum of values[j] over the bits j of mask, added in
+    increasing j (so out is the popcount for a vector of ones)."""
+    out = np.zeros(1 << len(values), dtype=values.dtype)
+    for j, v in enumerate(values):
+        out[1 << j : 2 << j] = out[: 1 << j] + v
+    return out
+
+
+def _subset_dp(start: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Held-Karp subset DP over the k vertices indexing `cost`.
+
+    dp[mask, j] is the cheapest path that begins at some i for start[i],
+    visits exactly the vertices of mask and ends at j; parent[mask, j] is
+    the vertex before j (the first argmin), or -1 where the path begins at
+    j or (mask, j) is unreachable. The only predecessor of (mask, j) is
+    mask ^ (1 << j), so each popcount layer is extended as a whole, in
+    blocks of _DP_BLOCK masks, and every state is written once.
+    """
+    k = len(start)
+    verts = np.arange(k)
+    bits = 1 << verts
+    dp = np.full((1 << k, k), np.inf)
+    parent = np.full((1 << k, k), -1, dtype=np.int8)
+    dp[bits, verts] = start
+    popcount = _mask_sums(np.ones(k, dtype=np.int8))
+    for layer in range(1, k):
+        masks = np.flatnonzero(popcount == layer)
+        for lo in range(0, len(masks), _DP_BLOCK):
+            block = masks[lo : lo + _DP_BLOCK]
+            rows = dp[block]
+            ext = rows[:, :, None] + cost  # ext[m, i, j]: reach j from last i
+            best = ext.min(axis=1)
+            arg = ext.argmin(axis=1)
+            # a mask whose row has no finite entry (only +-inf) extends nothing
+            reach = (best < np.inf) & np.isfinite(rows).any(axis=1)[:, None]
+            m, j = np.nonzero(reach & ((block[:, None] & bits) == 0))
+            target = block[m] | bits[j]
+            dp[target, j] = best[m, j]
+            parent[target, j] = arg[m, j]
+    return dp, parent
+
+
+def _walk_back(parent: np.ndarray, mask: int, j: int) -> list[int]:
+    """Vertex indices of the DP path ending in state (mask, j), in order."""
+    order = []
+    while j >= 0:
+        order.append(j)
+        pj = int(parent[mask, j])
+        mask ^= 1 << j
+        j = pj
+    order.reverse()
+    return order
 
 
 def exact_path_tsp(inst: Instance) -> ExactResult:
@@ -37,44 +99,13 @@ def exact_path_tsp(inst: Instance) -> ExactResult:
     if n == 2:
         return ExactResult(inst.c(s, t), (s, t), 1)
     inner = [v for v in range(n) if v != t]  # t is appended last
-    pos = {v: i for i, v in enumerate(inner)}
-    k = len(inner)
-    cost = inst.cost[np.ix_(inner, inner)]
-    full = 1 << k
-    dp = np.full((full, k), np.inf)
-    parent = np.full((full, k), -1, dtype=np.int8)
-    sbit = 1 << pos[s]
-    dp[sbit, pos[s]] = 0.0
-    for mask in range(full):
-        if not mask & sbit:
-            continue
-        row = dp[mask]
-        if not np.isfinite(row).any():
-            continue
-        ext = row[:, None] + cost  # best way to reach j from some last
-        best = ext.min(axis=0)
-        arg = ext.argmin(axis=0)
-        for j in range(k):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            nm = mask | bit
-            if best[j] < dp[nm, j]:
-                dp[nm, j] = best[j]
-                parent[nm, j] = arg[j]
-    last_costs = dp[full - 1] + inst.cost[inner, t]
+    start = np.where(np.array(inner) == s, 0.0, np.inf)
+    dp, parent = _subset_dp(start, inst.cost[np.ix_(inner, inner)])
+    last_costs = dp[-1] + inst.cost[inner, t]
     j = int(last_costs.argmin())
-    optimum = float(last_costs[j])
-    order = [t]
-    mask = full - 1
-    while j >= 0:
-        order.append(inner[j])
-        pj = int(parent[mask, j])
-        mask ^= 1 << j
-        j = pj
-    order.reverse()
+    order = [inner[i] for i in _walk_back(parent, len(dp) - 1, j)]
     explored = int(np.isfinite(dp).sum())
-    return ExactResult(optimum, tuple(order), explored)
+    return ExactResult(float(last_costs[j]), (*order, t), explored)
 
 
 def exact_pc_path(pc) -> ExactResult:
@@ -87,59 +118,25 @@ def exact_pc_path(pc) -> ExactResult:
     s, t = inst.s, inst.t
     prizes = np.asarray(pc.prizes, dtype=float)
     total_prize = float(prizes.sum())
-    internal = [v for v in range(n) if v not in (s, t)]
-    k = len(internal)
-    full = 1 << k
-    # dp[mask][j]: cheapest s -> internal[j] path visiting exactly mask
-    dp = np.full((full, k), np.inf)
-    parent = np.full((full, k), -2, dtype=np.int8)  # -1 means "from s"
-    for j, v in enumerate(internal):
-        dp[1 << j, j] = inst.c(s, v)
-        parent[1 << j, j] = -1
-    cost = inst.cost[np.ix_(internal, internal)]
-    for mask in range(1, full):
-        row = dp[mask]
-        if not np.isfinite(row).any():
-            continue
-        ext = row[:, None] + cost
-        best = ext.min(axis=0)
-        arg = ext.argmin(axis=0)
-        for j in range(k):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            nm = mask | bit
-            if best[j] < dp[nm, j]:
-                dp[nm, j] = best[j]
-                parent[nm, j] = arg[j]
-    prize_of = np.zeros(full)
-    for j, v in enumerate(internal):
-        prize_of[(np.arange(full) >> j) & 1 == 1] += prizes[v]
-
     best_obj = inst.c(s, t) + total_prize
-    best_mask, best_j = 0, -1
-    for mask in range(1, full):
-        row = dp[mask]
-        if not np.isfinite(row).any():
-            continue
-        ends = row + inst.cost[internal, t]
-        j = int(ends.argmin())
-        obj = float(ends[j]) + total_prize - float(prize_of[mask])
-        if obj < best_obj - 1e-15 or (
-            abs(obj - best_obj) <= 1e-15 and mask < best_mask
-        ):
-            best_obj, best_mask, best_j = obj, mask, j
-    order = [t]
-    mask, j = best_mask, best_j
-    while j >= 0:
-        order.append(internal[j])
-        pj = int(parent[mask, j])
-        mask ^= 1 << j
-        j = pj
-    order.append(s)
-    order.reverse()
+    internal = inst.internal
+    if not internal:
+        return ExactResult(best_obj, (s, t), 1)
+    dp, parent = _subset_dp(inst.cost[s, internal], inst.cost[np.ix_(internal, internal)])
     explored = int(np.isfinite(dp).sum()) + 1
-    return ExactResult(float(best_obj), tuple(order), explored)
+    live = np.flatnonzero(np.isfinite(dp).any(axis=1))
+    ends = np.add(dp, inst.cost[internal, t], out=dp)  # in place: dp is not read again
+    last = ends.argmin(axis=1)[live]
+    objs = (ends[live, last] + total_prize) - _mask_sums(prizes[internal])[live]
+    # scan the masks with a finite path in ascending order: the earliest best
+    # objective wins, a later one only when better by more than 1e-15 (so
+    # only objectives below the direct edge's can win)
+    best = -1
+    for i in np.flatnonzero(objs < best_obj - 1e-15).tolist():
+        if objs[i] < best_obj - 1e-15:
+            best_obj, best = float(objs[i]), i
+    path = [] if best < 0 else _walk_back(parent, int(live[best]), int(last[best]))
+    return ExactResult(float(best_obj), (s, *(internal[j] for j in path), t), explored)
 
 
 @lru_cache(maxsize=32)

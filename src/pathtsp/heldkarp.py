@@ -143,21 +143,17 @@ def probe_cuts(x: EdgeVector, inst: Instance, vertices: Iterable[int]):
         yield (v, *min_cut_merged(weights, [v], [s, t]))
 
 
-def _cut_queries(x: EdgeVector, inst: Instance) -> list[CutQuery]:
-    """All Held-Karp separation probes for x, one CutQuery each."""
-    return [
-        CutQuery(side, cap, "st" if v is None else "nonseparating")
-        for v, cap, side in probe_cuts(x, inst, inst.internal)
-    ]
-
-
 def separate(x: EdgeVector, inst: Instance, tol: float = HK_TOL) -> CutQuery | None:
     """Most-violated cut constraint, or None if x is cut-feasible.
 
     Ties on violation break toward the lexicographically smallest sorted
     vertex set, making the answer deterministic.
     """
-    violated = [q for q in _cut_queries(x, inst) if q.violation > tol]
+    queries = (
+        CutQuery(side, cap, "st" if v is None else "nonseparating")
+        for v, cap, side in probe_cuts(x, inst, inst.internal)
+    )
+    violated = [q for q in queries if q.violation > tol]
     if not violated:
         return None
     return min(violated, key=lambda q: (-q.violation, sorted(q.vertices)))
@@ -173,11 +169,12 @@ def hk_solve(inst: Instance, tol: float = HK_TOL) -> HKSolution:
     m = len(edges)
 
     def violated(z):
-        return [
-            cut_row(q.vertices, edges, m, q.required)
-            for q in _cut_queries(edge_point(edges, z), inst)
-            if q.violation > tol
-        ]
+        rows = []
+        for v, cap, side in probe_cuts(edge_point(edges, z), inst, inst.internal):
+            required = 1.0 if v is None else 2.0
+            if required - cap > tol:
+                rows.append(cut_row(side, edges, m, required))
+        return rows
 
     res, rounds = row_generation(
         [inst.cost[u, v] for u, v in edges],

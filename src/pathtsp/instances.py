@@ -229,7 +229,10 @@ def validate_metric(inst: Instance, tol: float = TRIANGLE_TOL) -> list[MetricVio
     # one u at a time keeps memory at O(n^2): slack[i, v] for w = ws[i]
     for u in range(n):
         ws = np.arange(u + 1, n)
-        slack = c[u, ws][:, None] - (c[u][None, :] + c[:, ws].T)
+        # inf - inf gives NaN (that pair is reported nonfinite above) and a
+        # sum beyond the float range gives inf; neither is a triangle violation
+        with np.errstate(invalid="ignore", over="ignore"):
+            slack = c[u, ws][:, None] - (c[u][None, :] + c[:, ws].T)
         bad = slack > tol
         bad[:, u] = False
         bad[np.arange(len(ws)), ws] = False

@@ -146,8 +146,8 @@ def gomory_hu_tree(weights: np.ndarray) -> tuple[list[int], list[float]]:
         p = parent[v]
         cutv, side = min_cut(weights, v, p)
         value[v] = cutv
-        for w in range(v + 1, n):
-            if parent[w] == p and w in side:
+        for w in range(n):
+            if w != v and parent[w] == p and w in side:
                 parent[w] = v
         if parent[p] != -1 and parent[p] in side:
             parent[v] = parent[p]

@@ -260,12 +260,3 @@ def pc_solve(
         threshold_floor=a,
         intervals=tuple(intervals),
     )
-
-
-def missed_weight(pclp: PCLPSolution, v: int, rho: float = GOLDEN_RATIO) -> float:
-    """Derandomized weight of the event {v not in V_gamma} over gamma in (a,1)."""
-    a = math.exp(1.0 - 2.0 / rho)
-    yv = pclp.y[v]
-    if yv >= 1.0:
-        return 0.0
-    return min((1.0 - yv) / (1.0 - a), 1.0)

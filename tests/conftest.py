@@ -1,7 +1,8 @@
 """Shared fixtures and independent test oracles.
 
 The oracles here (BFS distances, Edmonds-Karp flow, the permutation-scan
-path optimum, Pruefer enumeration of spanning trees) are deliberately
+path optimum, Pruefer enumeration of spanning trees, the per-mask loop
+versions of the exact subset DPs) are deliberately
 written against different primitives than the package so that agreement
 is meaningful.
 """
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from pathtsp.errors import SizeLimitError
+from pathtsp.exact import ExactResult
 from pathtsp.instances import GraphicalInstance, Instance
 
 
@@ -162,3 +164,114 @@ def all_spanning_trees(n: int) -> Iterable[frozenset[tuple[int, int]]]:
         rest = [u for u in range(n) if avail[u]]
         edges.append((min(rest), max(rest)))
         yield frozenset(edges)
+
+
+def exact_path_tsp_loop(inst: Instance) -> ExactResult:
+    """exact_path_tsp as a Python loop over every mask and last vertex: the
+    reference for its optimum, first-argmin witness and explored count."""
+    n = inst.n
+    s, t = inst.s, inst.t
+    if n == 2:
+        return ExactResult(inst.c(s, t), (s, t), 1)
+    inner = [v for v in range(n) if v != t]  # t is appended last
+    pos = {v: i for i, v in enumerate(inner)}
+    k = len(inner)
+    cost = inst.cost[np.ix_(inner, inner)]
+    full = 1 << k
+    dp = np.full((full, k), np.inf)
+    parent = np.full((full, k), -1, dtype=np.int8)
+    sbit = 1 << pos[s]
+    dp[sbit, pos[s]] = 0.0
+    for mask in range(full):
+        if not mask & sbit:
+            continue
+        row = dp[mask]
+        if not np.isfinite(row).any():
+            continue
+        ext = row[:, None] + cost  # best way to reach j from some last
+        best = ext.min(axis=0)
+        arg = ext.argmin(axis=0)
+        for j in range(k):
+            bit = 1 << j
+            if mask & bit:
+                continue
+            nm = mask | bit
+            if best[j] < dp[nm, j]:
+                dp[nm, j] = best[j]
+                parent[nm, j] = arg[j]
+    last_costs = dp[full - 1] + inst.cost[inner, t]
+    j = int(last_costs.argmin())
+    optimum = float(last_costs[j])
+    order = [t]
+    mask = full - 1
+    while j >= 0:
+        order.append(inner[j])
+        pj = int(parent[mask, j])
+        mask ^= 1 << j
+        j = pj
+    order.reverse()
+    explored = int(np.isfinite(dp).sum())
+    return ExactResult(optimum, tuple(order), explored)
+
+
+def exact_pc_path_loop(pc) -> ExactResult:
+    """exact_pc_path as Python loops over every mask: the reference for its
+    optimum, witness (earliest mask on ties within 1e-15) and explored count."""
+    inst = pc.inst
+    n = inst.n
+    s, t = inst.s, inst.t
+    prizes = np.asarray(pc.prizes, dtype=float)
+    total_prize = float(prizes.sum())
+    internal = [v for v in range(n) if v not in (s, t)]
+    k = len(internal)
+    full = 1 << k
+    # dp[mask][j]: cheapest s -> internal[j] path visiting exactly mask
+    dp = np.full((full, k), np.inf)
+    parent = np.full((full, k), -2, dtype=np.int8)  # -1 means "from s"
+    for j, v in enumerate(internal):
+        dp[1 << j, j] = inst.c(s, v)
+        parent[1 << j, j] = -1
+    cost = inst.cost[np.ix_(internal, internal)]
+    for mask in range(1, full):
+        row = dp[mask]
+        if not np.isfinite(row).any():
+            continue
+        ext = row[:, None] + cost
+        best = ext.min(axis=0)
+        arg = ext.argmin(axis=0)
+        for j in range(k):
+            bit = 1 << j
+            if mask & bit:
+                continue
+            nm = mask | bit
+            if best[j] < dp[nm, j]:
+                dp[nm, j] = best[j]
+                parent[nm, j] = arg[j]
+    prize_of = np.zeros(full)
+    for j, v in enumerate(internal):
+        prize_of[(np.arange(full) >> j) & 1 == 1] += prizes[v]
+
+    best_obj = inst.c(s, t) + total_prize
+    best_mask, best_j = 0, -1
+    for mask in range(1, full):
+        row = dp[mask]
+        if not np.isfinite(row).any():
+            continue
+        ends = row + inst.cost[internal, t]
+        j = int(ends.argmin())
+        obj = float(ends[j]) + total_prize - float(prize_of[mask])
+        if obj < best_obj - 1e-15 or (
+            abs(obj - best_obj) <= 1e-15 and mask < best_mask
+        ):
+            best_obj, best_mask, best_j = obj, mask, j
+    order = [t]
+    mask, j = best_mask, best_j
+    while j >= 0:
+        order.append(internal[j])
+        pj = int(parent[mask, j])
+        mask ^= 1 << j
+        j = pj
+    order.append(s)
+    order.reverse()
+    explored = int(np.isfinite(dp).sum()) + 1
+    return ExactResult(float(best_obj), tuple(order), explored)

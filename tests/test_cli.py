@@ -2,12 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pathtsp
 from pathtsp.cli import main
 from pathtsp.instances import Instance, write_instance
 
@@ -128,6 +133,24 @@ def test_validate_commands(tmp_path, capsys):
     assert code == 2
     assert payload["valid"] is False
     assert any(v["kind"] == "triangle" for v in payload["violations"])
+
+
+@pytest.mark.parametrize("costs", [[math.inf, 1, 1, 1, 1, 1], [1e308] * 6])
+def test_validate_prints_no_numpy_warning(tmp_path, costs):
+    """An infinite cost (inf - inf in the triangle slack) or costs whose sums
+    overflow print the report and nothing from numpy on stderr."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"type": "metric", "n": 4, "s": 0, "t": 1, "costs": costs}))
+    src = str(Path(pathtsp.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathtsp.cli", "validate", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    valid = costs[0] != math.inf
+    assert proc.returncode == (0 if valid else 2)
+    assert proc.stderr == ("" if valid else "invalid instance\n")
+    assert json.loads(proc.stdout)["valid"] is valid
 
 
 def test_usage_errors_exit_one(capsys, unit_triangle_file):

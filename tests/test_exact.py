@@ -3,16 +3,22 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import brute_force_path_scan
+from conftest import (
+    brute_force_path_scan,
+    exact_path_tsp_loop,
+    exact_pc_path_loop,
+    random_connected_graph,
+)
 from pathtsp.errors import SizeLimitError
 from pathtsp.exact import (
+    PATH_TSP_CAP,
     brute_force_matching,
     enumerate_cut_check,
     exact_path_tsp,
     exact_pc_path,
 )
 from pathtsp.heldkarp import hk_solve
-from pathtsp.instances import EdgeVector, Instance, generate_random_metric
+from pathtsp.instances import EdgeVector, Instance, generate_random_metric, metric_closure
 from pathtsp.prize import PCInstance
 
 
@@ -34,6 +40,40 @@ def test_dp_matches_permutation_scan():
     assert res.optimum == pytest.approx(brute_force_path_scan(inst), abs=1e-12)
     assert inst.path_cost(res.witness) == pytest.approx(res.optimum)
     assert sorted(res.witness) == list(range(9))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 13])
+@pytest.mark.parametrize("costs", ["random", "integer"])
+@pytest.mark.parametrize("with_prizes", [False, True])
+def test_dp_matches_loop_reference(n, costs, with_prizes):
+    """Optimum, witness and explored count equal the per-mask loop DPs.
+
+    Integer costs (shortest-path closures of sparse graphs) and prizes in
+    steps of 0.5 make many paths and objectives tie, which pins the
+    first-argmin parent and the earliest-mask rule of the pc selection.
+    """
+    for seed in range(3):
+        rng = np.random.default_rng((n, seed))
+        if costs == "random":
+            inst = generate_random_metric(n, seed)
+            prizes = rng.uniform(0.0, 0.6, n)
+        else:
+            inst = metric_closure(random_connected_graph(n, seed, density=0.2))
+            prizes = rng.integers(0, 4, n) * 0.5
+        if not with_prizes:
+            assert exact_path_tsp(inst) == exact_path_tsp_loop(inst)
+            continue
+        prizes[[inst.s, inst.t]] = 0.0
+        pc = PCInstance(inst, prizes)
+        assert exact_pc_path(pc) == exact_pc_path_loop(pc)
+
+
+def test_dp_at_size_cap_returns_hamiltonian_path():
+    inst = generate_random_metric(PATH_TSP_CAP, 5)
+    res = exact_path_tsp(inst)
+    assert res.witness[0] == inst.s and res.witness[-1] == inst.t
+    assert sorted(res.witness) == list(range(PATH_TSP_CAP))
+    assert inst.path_cost(res.witness) == res.optimum
 
 
 def test_size_cap_refused():

@@ -53,6 +53,32 @@ def test_separation_matches_enumeration_on_random_vectors():
             assert got.violation == pytest.approx(worst, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [17, 18])
+def test_verify_flow_branch_matches_enumeration_above_cap(n):
+    """Above CUT_ENUM_CAP, hk_verify reports separate's single witness: it
+    must be a most violated cut of the exhaustive scan, or absent when no
+    cut is violated."""
+    rng = np.random.default_rng(n)
+    for trial, high in enumerate((0.15, 0.25, 0.9)):
+        inst = generate_random_metric(n, trial)
+        x = EdgeVector(
+            {e: float(rng.uniform(0, high)) for e in all_edges(n) if rng.random() < 0.8}
+        )
+        memb, caps = all_cut_capacities(x, n)
+        separating = memb[:, inst.s] != memb[:, inst.t]
+        required = np.where(separating, 1.0, 2.0)
+        worst = float((required - caps).max())
+        report = hk_verify(x, inst, TOL)
+        if worst <= TOL:
+            assert report.cut_violations == ()
+            continue
+        ((side, cap, req),) = report.cut_violations
+        assert req - cap == pytest.approx(worst, abs=1e-9)
+        crossing = sum(w for (u, v), w in x.values.items() if (u in side) != (v in side))
+        assert cap == pytest.approx(crossing, abs=1e-9)
+        assert req == (1.0 if (inst.s in side) != (inst.t in side) else 2.0)
+
+
 def test_hk_two_vertices():
     inst = Instance(cost=np.array([[0.0, 3.5], [3.5, 0.0]]), s=0, t=1)
     hk = hk_solve(inst)

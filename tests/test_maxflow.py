@@ -103,3 +103,18 @@ def test_gomory_hu_tree_encodes_all_pairwise_cuts():
             path_vals = [value[v] for v in pa[: pa.index(common)]]
             path_vals += [value[v] for v in pb[: pb.index(common)]]
             assert min(path_vals) == pytest.approx(direct, abs=1e-9)
+
+
+def test_gomory_hu_splits_realize_their_values_on_sparse_graphs():
+    """Every tree edge's split is a cut whose capacity is the edge's value;
+    sparse graphs have the many tied and zero cuts that test the reattachment
+    of earlier vertices."""
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        n = int(rng.integers(5, 12))
+        w = np.triu(rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.3), 1)
+        w = w + w.T
+        parent, value = gomory_hu_tree(w)
+        for v, side in gomory_hu_splits(parent):
+            assert cut_value(w, side) == pytest.approx(value[v], abs=1e-9)
+            assert value[v] == pytest.approx(min_cut(w, v, parent[v])[0], abs=1e-9)

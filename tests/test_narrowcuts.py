@@ -7,7 +7,7 @@ from conftest import edmonds_karp, hamiltonian_path_instance
 from pathtsp import narrowcuts
 from pathtsp.decompose import decompose
 from pathtsp.errors import InvalidInstanceError
-from pathtsp.exact import enumerate_cut_check
+from pathtsp.exact import all_cut_capacities, enumerate_cut_check
 from pathtsp.heldkarp import HKSolution, hk_solve
 from pathtsp.instances import EdgeVector, generate_random_metric
 from pathtsp.narrowcuts import (
@@ -267,6 +267,35 @@ def test_verify_gomory_hu_route_agrees_with_enumeration(monkeypatch):
     by_tree = verify_certificate(cert, inst)
     assert by_tree.worst_value == pytest.approx(by_enum.worst_value, abs=1e-9)
     assert by_tree.feasible == by_enum.feasible
+
+
+@pytest.mark.parametrize("n, seed", [(17, 2), (18, 2)])
+def test_verify_gomory_hu_branch_matches_enumeration_above_cap(n, seed):
+    """Above CUT_ENUM_CAP, verify_certificate reads the minimum odd cut off a
+    Gomory-Hu tree; it must equal the exhaustive minimum over odd cuts."""
+    inst = generate_random_metric(n, seed)
+    hk = hk_solve(inst)
+    combo = decompose(hk)
+    structure = compute_narrow_cuts(hk, VARIANT_TAU["golden"])
+    flows = solve_fractional_disjoint(structure, hk)
+    checked = 0
+    for tree in combo.trees:
+        T = wrong_parity_set(tree, hk.s, hk.t)
+        if len(T) == 0:
+            continue
+        cert = build_certificate(hk, tree, T, "golden", structure, flows)
+        report = verify_certificate(cert, inst)
+        tset = sorted(T.vertices)
+        memb, caps = all_cut_capacities(cert.y, n)
+        least = float(caps[memb[:, tset].sum(axis=1) % 2 == 1].min())
+        assert report.worst_value == pytest.approx(least, abs=1e-9)
+        assert report.feasible == (least >= 1.0 - narrowcuts.FEAS_TOL)
+        cut = report.worst_cut
+        assert len(cut & T.vertices) % 2 == 1
+        crossing = sum(w for (u, v), w in cert.y.values.items() if (u in cut) != (v in cut))
+        assert crossing == pytest.approx(least, abs=1e-9)
+        checked += 1
+    assert checked > 0
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

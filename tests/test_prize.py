@@ -10,7 +10,6 @@ from pathtsp.instances import Instance, generate_random_metric
 from pathtsp.prize import (
     PCInstance,
     PCLPSolution,
-    missed_weight,
     pc_lp_solve,
     pc_solve,
     pd_oracle,
@@ -161,6 +160,15 @@ def test_pc_solve_rejects_bad_rho():
     for rho in (1.2, 2.0, 2.5):
         with pytest.raises(InvalidInstanceError):
             pc_solve(pc, rho=rho)
+
+
+def missed_weight(pclp: PCLPSolution, v: int, rho: float = GOLDEN_RATIO) -> float:
+    """Derandomized weight of the event {v not in V_gamma} over gamma in (a,1)."""
+    a = math.exp(1.0 - 2.0 / rho)
+    yv = pclp.y[v]
+    if yv >= 1.0:
+        return 0.0
+    return min((1.0 - yv) / (1.0 - a), 1.0)
 
 
 def test_missed_weight_identity():
