@@ -188,17 +188,6 @@ def _run(args: argparse.Namespace) -> dict | None:
 
     inst = metric_closure(loaded) if isinstance(loaded, GraphicalInstance) else loaded
 
-    if args.command == "exact":
-        if "prizes" in raw:
-            res = exact_pc_path(PCInstance.from_internal(inst, raw["prizes"]))
-        else:
-            res = exact_path_tsp(inst)
-        return {
-            "optimum": res.optimum,
-            "witness": list(res.witness),
-            "explored": res.explored,
-        }
-
     if args.command == "solve":
         # both solvers run the metric guard themselves
         sol = solve_hoogeveen(inst) if args.hoogeveen else solve_bom(inst)
@@ -216,6 +205,17 @@ def _run(args: argparse.Namespace) -> dict | None:
         return payload
 
     require_metric(inst)
+
+    if args.command == "exact":
+        if "prizes" in raw:
+            res = exact_pc_path(PCInstance.from_internal(inst, raw["prizes"]))
+        else:
+            res = exact_path_tsp(inst)
+        return {
+            "optimum": res.optimum,
+            "witness": list(res.witness),
+            "explored": res.explored,
+        }
 
     if args.command == "pc":
         prizes = raw.get("prizes")

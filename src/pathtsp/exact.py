@@ -10,13 +10,14 @@ CUT_ENUM_CAP and `min_tjoin` checks small matchings exhaustively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import InvalidInstanceError, SizeLimitError
 from .instances import EdgeVector, Instance
 
 PATH_TSP_CAP = 20
@@ -61,20 +62,21 @@ def _subset_dp(start: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndar
     parent = np.full((1 << k, k), -1, dtype=np.int8)
     dp[bits, verts] = start
     popcount = _mask_sums(np.ones(k, dtype=np.int8))
-    for layer in range(1, k):
-        masks = np.flatnonzero(popcount == layer)
-        for lo in range(0, len(masks), _DP_BLOCK):
-            block = masks[lo : lo + _DP_BLOCK]
-            rows = dp[block]
-            ext = rows[:, :, None] + cost  # ext[m, i, j]: reach j from last i
-            best = ext.min(axis=1)
-            arg = ext.argmin(axis=1)
-            # a mask whose row has no finite entry (only +-inf) extends nothing
-            reach = (best < np.inf) & np.isfinite(rows).any(axis=1)[:, None]
-            m, j = np.nonzero(reach & ((block[:, None] & bits) == 0))
-            target = block[m] | bits[j]
-            dp[target, j] = best[m, j]
-            parent[target, j] = arg[m, j]
+    with np.errstate(over="ignore"):  # a path whose cost overflows costs inf
+        for layer in range(1, k):
+            masks = np.flatnonzero(popcount == layer)
+            for lo in range(0, len(masks), _DP_BLOCK):
+                block = masks[lo : lo + _DP_BLOCK]
+                rows = dp[block]
+                ext = rows[:, :, None] + cost  # ext[m, i, j]: reach j from last i
+                best = ext.min(axis=1)
+                arg = ext.argmin(axis=1)
+                # a mask whose row has no finite entry (only +-inf) extends nothing
+                reach = (best < np.inf) & np.isfinite(rows).any(axis=1)[:, None]
+                m, j = np.nonzero(reach & ((block[:, None] & bits) == 0))
+                target = block[m] | bits[j]
+                dp[target, j] = best[m, j]
+                parent[target, j] = arg[m, j]
     return dp, parent
 
 
@@ -97,15 +99,22 @@ def exact_path_tsp(inst: Instance) -> ExactResult:
         raise SizeLimitError(f"exact_path_tsp limit is n <= {PATH_TSP_CAP}, got {n}")
     s, t = inst.s, inst.t
     if n == 2:
-        return ExactResult(inst.c(s, t), (s, t), 1)
-    inner = [v for v in range(n) if v != t]  # t is appended last
-    start = np.where(np.array(inner) == s, 0.0, np.inf)
-    dp, parent = _subset_dp(start, inst.cost[np.ix_(inner, inner)])
-    last_costs = dp[-1] + inst.cost[inner, t]
-    j = int(last_costs.argmin())
-    order = [inner[i] for i in _walk_back(parent, len(dp) - 1, j)]
-    explored = int(np.isfinite(dp).sum())
-    return ExactResult(float(last_costs[j]), (*order, t), explored)
+        result = ExactResult(inst.c(s, t), (s, t), 1)
+    else:
+        inner = [v for v in range(n) if v != t]  # t is appended last
+        start = np.where(np.array(inner) == s, 0.0, np.inf)
+        dp, parent = _subset_dp(start, inst.cost[np.ix_(inner, inner)])
+        with np.errstate(over="ignore"):
+            last_costs = dp[-1] + inst.cost[inner, t]
+        j = int(last_costs.argmin())
+        order = [inner[i] for i in _walk_back(parent, len(dp) - 1, j)]
+        explored = int(np.isfinite(dp).sum())
+        result = ExactResult(float(last_costs[j]), (*order, t), explored)
+    if not math.isfinite(result.optimum):
+        raise InvalidInstanceError(
+            f"no Hamiltonian s-t path has a finite cost (best: {result.optimum})"
+        )
+    return result
 
 
 def exact_pc_path(pc) -> ExactResult:
@@ -125,9 +134,10 @@ def exact_pc_path(pc) -> ExactResult:
     dp, parent = _subset_dp(inst.cost[s, internal], inst.cost[np.ix_(internal, internal)])
     explored = int(np.isfinite(dp).sum()) + 1
     live = np.flatnonzero(np.isfinite(dp).any(axis=1))
-    ends = np.add(dp, inst.cost[internal, t], out=dp)  # in place: dp is not read again
-    last = ends.argmin(axis=1)[live]
-    objs = (ends[live, last] + total_prize) - _mask_sums(prizes[internal])[live]
+    with np.errstate(over="ignore"):
+        ends = np.add(dp, inst.cost[internal, t], out=dp)  # in place: dp is not read again
+        last = ends.argmin(axis=1)[live]
+        objs = (ends[live, last] + total_prize) - _mask_sums(prizes[internal])[live]
     # scan the masks with a finite path in ascending order: the earliest best
     # objective wins, a later one only when better by more than 1e-15 (so
     # only objectives below the direct edge's can win)

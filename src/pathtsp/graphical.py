@@ -22,6 +22,7 @@ from .errors import InvalidInstanceError, InvariantError
 from .exact import exact_path_tsp
 from .heldkarp import HKSolution, hk_solve
 from .instances import GraphicalInstance, Instance, metric_closure
+from .maxflow import gomory_hu_tree
 from .narrowcuts import NarrowCutStructure, compute_narrow_cuts
 from .solver import solve_bom
 from .tjoin import eulerian_path, shortcut
@@ -210,83 +211,44 @@ class LayerConnectivityReport:
     last_gap: float  # x*(E(L_{ell-1}, L_ell))
     consecutive: tuple[float, ...]  # x*(E(L_i, L_{i+1})) for all i
     connectivity: tuple[float, ...]  # min internal cut per layer; inf if singleton
-    contiguous_min: float  # min over checked bipartitions of layer unions
-    contiguous_checked: int
     threshold: float
     all_hold: bool
 
 
 def check_layer_connectivity(
-    xstar: HKSolution,
-    structure: NarrowCutStructure,
-    theta: float,
-    sample_budget: int = 4096,
-    seed: int = 0,
+    xstar: HKSolution, structure: NarrowCutStructure, theta: float
 ) -> LayerConnectivityReport:
-    """Empirically verify the layer-connectivity bounds at tau = 1 - theta:
-    consecutive layers exchange more than theta of x* mass, every layer is
-    theta-edge-connected under x*, and any bipartition of a contiguous run
-    of middle layers is crossed by more than theta."""
+    """Verify the layer-connectivity bounds at tau = 1 - theta, exactly:
+    consecutive layers exchange more than theta of x* mass, and every layer
+    is theta-edge-connected under x* (its global min cut, the lightest edge
+    of its Gomory-Hu tree, exceeds theta).
+
+    Together these imply that every bipartition of a contiguous run of
+    layers is crossed by more than theta: a bipartition either splits some
+    layer, and then costs at least that layer's connectivity, or keeps every
+    layer whole and separates two adjacent layers, and then costs at least
+    their consecutive gap.
+    """
     if abs(structure.tau - (1.0 - theta)) > 1e-12:
         raise InvalidInstanceError("structure was not built at tau = 1 - theta")
-    n = xstar.n
-    weights = xstar.x.to_matrix(n)
+    weights = xstar.x.to_matrix(xstar.n)
     layers = [list(layer) for layer in structure.layers]
-    ell = len(layers)
-
-    def between(A, B):
-        return float(weights[np.ix_(A, B)].sum())
-
-    consecutive = tuple(between(layers[i], layers[i + 1]) for i in range(ell - 1))
-    connectivity = []
-    for layer in layers:
-        k = len(layer)
-        if k < 2:
-            connectivity.append(math.inf)
-            continue
-        best = math.inf
-        for mask in range(1, 1 << (k - 1)):
-            side = [layer[j] for j in range(k) if (mask >> j) & 1]
-            rest = [v for v in layer if v not in side]
-            best = min(best, between(side, rest))
-        connectivity.append(best)
-    rng = np.random.default_rng(seed)
-    contiguous_min = math.inf
-    checked = 0
-    for i in range(ell):
-        for j in range(i + 2, ell + 1):
-            middle = [v for k in range(i + 1, j - 1) for v in layers[k]]
-            k = len(middle)
-            if k < 2:
-                continue
-            total = (1 << (k - 1)) - 1
-            if total <= sample_budget:
-                masks = range(1, 1 << (k - 1))
-            else:
-                masks = rng.integers(1, 1 << (k - 1), size=sample_budget)
-            for mask in masks:
-                side = [middle[b] for b in range(k) if (int(mask) >> b) & 1]
-                rest = [v for v in middle if v not in side]
-                if not side or not rest:
-                    continue
-                checked += 1
-                contiguous_min = min(contiguous_min, between(side, rest))
-    finite_conn = [c for c in connectivity if math.isfinite(c)]
-    eps = 1e-9
-    all_hold = (
-        consecutive[0] > theta - eps
-        and consecutive[-1] > theta - eps
-        and all(c > theta - eps for c in consecutive)
-        and all(c > theta - eps for c in finite_conn)
-        and (checked == 0 or contiguous_min > theta - eps)
+    consecutive = tuple(
+        float(weights[np.ix_(a, b)].sum()) for a, b in zip(layers, layers[1:])
     )
+    connectivity = tuple(
+        min(gomory_hu_tree(weights[np.ix_(layer, layer)])[1][1:])
+        if len(layer) > 1
+        else math.inf
+        for layer in layers
+    )
+    eps = 1e-9
+    all_hold = all(c > theta - eps for c in consecutive + connectivity)
     return LayerConnectivityReport(
         first_gap=consecutive[0],
         last_gap=consecutive[-1],
         consecutive=consecutive,
-        connectivity=tuple(connectivity),
-        contiguous_min=contiguous_min,
-        contiguous_checked=checked,
+        connectivity=connectivity,
         threshold=theta,
         all_hold=all_hold,
     )

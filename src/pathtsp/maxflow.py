@@ -117,17 +117,21 @@ def min_cut_merged(
     snk = set(sink_group)
     if src & snk:
         raise ValueError("source and sink groups overlap")
+    # group index per vertex: source 0, the rest in ascending order, sink k-1
+    label = np.zeros(n, dtype=int)
     rest = [v for v in range(n) if v not in src and v not in snk]
-    groups: list[list[int]] = [sorted(src)] + [[v] for v in rest] + [sorted(snk)]
-    k = len(groups)
+    k = len(rest) + 2
+    label[rest] = np.arange(1, k - 1)
+    label[list(snk)] = k - 1
+    # An entry off the diagonal sums at most two weights, except source-sink,
+    # an arc saturated from the start that never shapes the cut.
     cap = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            w = float(weights[np.ix_(groups[i], groups[j])].sum())
-            cap[i, j] = cap[j, i] = w
+    np.add.at(cap, (label[:, None], label[None, :]), weights)
+    np.fill_diagonal(cap, 0.0)
     _, flow = push_relabel(cap, 0, k - 1)
-    side_groups = source_side(cap, flow, 0)
-    side = frozenset(v for g in side_groups for v in groups[g])
+    inside = np.zeros(k, dtype=bool)
+    inside[list(source_side(cap, flow, 0))] = True
+    side = frozenset(int(v) for v in np.flatnonzero(inside[label]))
     return cut_value(weights, side), side
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import _DisjointSet
 from .errors import InvalidInstanceError, InvariantError
 from .exact import CUT_ENUM_CAP, all_cut_capacities
 from .heldkarp import HKSolution
@@ -148,43 +147,24 @@ def compute_narrow_cuts(
         pair_cuts = pairwise_forced_cuts(xstar)
     threshold = 1.0 + tau
 
-    def precedes(u: int, v: int) -> bool:
-        return pair_cuts[(u, v)] < threshold
-
-    # incomparability classes of the precedence relation
-    ds = _DisjointSet(n)
+    # before[i, j]: internals[i] strictly precedes internals[j]. A strict
+    # weak order is exactly a relation decided by comparing ranks, where a
+    # vertex's rank is its number of predecessors; the layers are the ranks.
+    k = len(internals)
+    before = np.zeros((k, k), dtype=bool)
     for i, u in enumerate(internals):
-        for v in internals[i + 1 :]:
-            if not precedes(u, v) and not precedes(v, u):
-                ds.union(v, u)
-    classes: dict[int, list[int]] = {}
-    for v in internals:
-        classes.setdefault(ds.find(v), []).append(v)
-    groups = [sorted(members) for members in classes.values()]
-
-    # the classes must form a strict total order
-    pred_count = []
-    for g in groups:
-        count = 0
-        for h in groups:
-            if h is g:
-                continue
-            forward = [precedes(a, b) for a in h for b in g]
-            backward = [precedes(b, a) for a in h for b in g]
-            if all(forward) and not any(backward):
-                count += 1
-            elif all(backward) and not any(forward):
-                continue
-            else:
-                raise InvariantError(
-                    "narrow-cut precedence is inconsistent between "
-                    f"{h} and {g}; x* is numerically infeasible"
-                )
-        pred_count.append(count)
-    if sorted(pred_count) != list(range(len(groups))):
-        raise InvariantError("narrow-cut classes do not totally order")
-    ordered = [g for _, g in sorted(zip(pred_count, groups))]
-    layers = [(s,)] + [tuple(g) for g in ordered] + [(t,)]
+        for j, v in enumerate(internals):
+            before[i, j] = i != j and pair_cuts[(u, v)] < threshold
+    rank = before.sum(axis=0)
+    if not np.array_equal(before, rank[:, None] < rank[None, :]):
+        raise InvariantError(
+            "narrow-cut precedence is not a strict weak order; "
+            "x* is numerically infeasible"
+        )
+    middle = [
+        tuple(internals[i] for i in np.flatnonzero(rank == r)) for r in np.unique(rank)
+    ]
+    layers = [(s,)] + middle + [(t,)]
 
     weights = xstar.x.to_matrix(n)
     prefix_caps = []

@@ -135,22 +135,40 @@ def test_validate_commands(tmp_path, capsys):
     assert any(v["kind"] == "triangle" for v in payload["violations"])
 
 
+def _run_on_metric(tmp_path, command, costs):
+    """Run the CLI in a subprocess on a 4-vertex metric file, so stderr
+    shows everything numpy prints."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"type": "metric", "n": 4, "s": 0, "t": 1, "costs": costs}))
+    src = str(Path(pathtsp.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "pathtsp.cli", command, str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 @pytest.mark.parametrize("costs", [[math.inf, 1, 1, 1, 1, 1], [1e308] * 6])
 def test_validate_prints_no_numpy_warning(tmp_path, costs):
     """An infinite cost (inf - inf in the triangle slack) or costs whose sums
     overflow print the report and nothing from numpy on stderr."""
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps({"type": "metric", "n": 4, "s": 0, "t": 1, "costs": costs}))
-    src = str(Path(pathtsp.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pathtsp.cli", "validate", str(path)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = _run_on_metric(tmp_path, "validate", costs)
     valid = costs[0] != math.inf
     assert proc.returncode == (0 if valid else 2)
     assert proc.stderr == ("" if valid else "invalid instance\n")
     assert json.loads(proc.stdout)["valid"] is valid
+
+
+@pytest.mark.parametrize("costs", [[math.inf, 1, 1, 1, 1, 1], [1e308] * 6])
+def test_exact_refuses_nonfinite_and_overflowing_costs(tmp_path, costs):
+    """`exact` runs the metric guard (the infinite cost) and refuses an
+    optimum that is not finite (every path's sum overflows), with one line
+    on stderr and nothing from numpy."""
+    proc = _run_on_metric(tmp_path, "exact", costs)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("input error: ")
+    assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
 
 
 def test_usage_errors_exit_one(capsys, unit_triangle_file):

@@ -9,7 +9,7 @@ from conftest import (
     exact_pc_path_loop,
     random_connected_graph,
 )
-from pathtsp.errors import SizeLimitError
+from pathtsp.errors import InvalidInstanceError, SizeLimitError
 from pathtsp.exact import (
     PATH_TSP_CAP,
     brute_force_matching,
@@ -26,6 +26,8 @@ def test_two_vertices(unit_triangle):
     inst = Instance(cost=np.array([[0.0, 4.0], [4.0, 0.0]]), s=0, t=1)
     res = exact_path_tsp(inst)
     assert res.optimum == 4.0 and res.witness == (0, 1)
+    with pytest.raises(InvalidInstanceError, match="finite"):
+        exact_path_tsp(Instance(cost=np.array([[0.0, np.inf], [np.inf, 0.0]]), s=0, t=1))
 
 
 def test_unit_triangle_path(unit_triangle):
@@ -80,6 +82,23 @@ def test_size_cap_refused():
     inst = generate_random_metric(21, 0)
     with pytest.raises(SizeLimitError, match="20"):
         exact_path_tsp(inst)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_overflowing_costs_refused_quietly(n):
+    """Uniform costs of 1e308 pass the metric guard, but every path's sum
+    overflows: exact_path_tsp refuses, and exact_pc_path still answers with
+    the direct edge, the only finite choice. Neither lets numpy warn (the
+    suite turns a RuntimeWarning into an error)."""
+    cost = np.full((n, n), 1e308)
+    np.fill_diagonal(cost, 0.0)
+    inst = Instance(cost=cost, s=0, t=1)
+    with pytest.raises(InvalidInstanceError, match="finite"):
+        exact_path_tsp(inst)
+    prizes = np.ones(n)
+    prizes[[0, 1]] = 0.0
+    res = exact_pc_path(PCInstance(inst, prizes))
+    assert res.witness == (0, 1) and res.optimum == 1e308 + (n - 2)
 
 
 def test_pc_zero_prizes_takes_direct_edge():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_connected_graph
@@ -13,9 +14,9 @@ from pathtsp.graphical import (
     ratio_expression,
     solve_graphical,
 )
-from pathtsp.heldkarp import hk_solve
-from pathtsp.instances import GraphicalInstance, metric_closure
-from pathtsp.narrowcuts import compute_narrow_cuts
+from pathtsp.heldkarp import HKSolution, hk_solve
+from pathtsp.instances import EdgeVector, GraphicalInstance, all_edges, metric_closure
+from pathtsp.narrowcuts import NarrowCutStructure, compute_narrow_cuts
 
 THETA = RATIO_CONSTANTS[0]
 
@@ -101,6 +102,67 @@ def test_layer_connectivity_on_random_graphs(seed):
     st = compute_narrow_cuts(hk, 1.0 - theta)
     rep = check_layer_connectivity(hk, st, theta)
     assert rep.all_hold, rep
+
+
+def _min_bipartition(weights, members):
+    """Cheapest split of `members` into two nonempty sides, by enumeration."""
+    k = len(members)
+    best = math.inf
+    for mask in range(1, 1 << (k - 1)):
+        side = [members[j] for j in range(k) if mask >> j & 1]
+        rest = [v for v in members if v not in side]
+        best = min(best, float(weights[np.ix_(side, rest)].sum()))
+    return best
+
+
+def _assert_layer_checks_exact(hk, st, theta):
+    rep = check_layer_connectivity(hk, st, theta)
+    weights = hk.x.to_matrix(hk.n)
+    layers = [list(layer) for layer in st.layers]
+    for layer, conn in zip(layers, rep.connectivity):
+        if len(layer) == 1:
+            assert conn == math.inf
+        else:
+            assert conn == pytest.approx(_min_bipartition(weights, layer), rel=1e-12)
+    # every bipartition of a contiguous run of middle layers costs at least
+    # the run's weakest layer connectivity or consecutive gap, so the two
+    # reported checks cover it
+    for i in range(1, len(layers) - 1):
+        for j in range(i + 1, len(layers) - 1):
+            run = [v for layer in layers[i:j] for v in layer]
+            if len(run) > 1:
+                floor = min(rep.connectivity[i:j] + rep.consecutive[i : j - 1])
+                assert _min_bipartition(weights, run) >= floor - 1e-12
+    return rep
+
+
+# (n, seed, density) of graphs whose narrow-cut layers are not all singletons
+LAYERED_GRAPHS = [(9, 703, 0.2), (10, 709, 0.2), (10, 711, 0.2), (12, 702, 0.2), (12, 711, 0.35)]
+
+
+@pytest.mark.parametrize("n, seed, density", LAYERED_GRAPHS)
+@pytest.mark.parametrize("theta", [0.1, THETA])
+def test_layer_connectivity_matches_enumeration(n, seed, density, theta):
+    g = random_connected_graph(n, seed, density)
+    hk = hk_solve(metric_closure(g))
+    st = compute_narrow_cuts(hk, 1.0 - theta)
+    assert max(len(layer) for layer in st.layers) > 1
+    assert _assert_layer_checks_exact(hk, st, theta).all_hold
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_layer_connectivity_matches_enumeration_on_any_layering(seed):
+    """Random fractional points and random layerings, n <= 12."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 13))
+    x = EdgeVector(
+        {(u, v): float(rng.uniform(0.05, 1.0)) for u, v in all_edges(n) if rng.random() < 0.5}
+    )
+    hk = HKSolution(x, 0.0, 0, n, 0, n - 1)
+    cuts = np.sort(rng.choice(np.arange(2, n - 1), size=int(rng.integers(1, n - 3)), replace=False))
+    middle = tuple(tuple(part.tolist()) for part in np.split(np.arange(1, n - 1), cuts - 1))
+    st = NarrowCutStructure(1.0 - THETA, ((0,), *middle, (n - 1,)), (), ())
+    _assert_layer_checks_exact(hk, st, THETA)
 
 
 def test_layer_connectivity_requires_matching_tau():

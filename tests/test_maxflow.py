@@ -73,6 +73,32 @@ def test_min_cut_merged_matches_brute_force():
     assert {0, 2} <= side and not side & {1, 5}
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_min_cut_merged_returns_smallest_min_source_side(seed):
+    """The side is the intersection of all minimum cuts (the vertices the
+    residual graph of a maximum flow reaches), on integer weights with many
+    tied minimum cuts."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 10))
+    w = np.triu(rng.integers(0, 3, size=(n, n)).astype(float), 1)
+    w += w.T
+    verts = rng.permutation(n)
+    src = sorted(verts[: 1 + seed % 2].tolist())
+    snk = sorted(verts[1 + seed % 2 : 2 + seed % 2 + seed // 2 % 2].tolist())
+    cap, side = min_cut_merged(w, src, snk)
+    rest = [v for v in range(n) if v not in src and v not in snk]
+    sides = [
+        frozenset(src) | {rest[j] for j in range(len(rest)) if mask >> j & 1}
+        for mask in range(1 << len(rest))
+    ]
+    values = [cut_value(w, group) for group in sides]
+    best = min(values)
+    smallest = frozenset.intersection(*(g for g, v in zip(sides, values) if v == best))
+    assert cap == best
+    assert side == smallest
+    assert all(type(v) is int for v in side)
+
+
 def test_gomory_hu_tree_encodes_all_pairwise_cuts():
     rng = np.random.default_rng(9)
     n = 6

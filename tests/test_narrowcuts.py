@@ -6,7 +6,7 @@ import pytest
 from conftest import edmonds_karp, hamiltonian_path_instance
 from pathtsp import narrowcuts
 from pathtsp.decompose import decompose
-from pathtsp.errors import InvalidInstanceError
+from pathtsp.errors import InvalidInstanceError, InvariantError
 from pathtsp.exact import all_cut_capacities, enumerate_cut_check
 from pathtsp.heldkarp import HKSolution, hk_solve
 from pathtsp.instances import EdgeVector, generate_random_metric
@@ -71,6 +71,32 @@ def test_tau_out_of_range_rejected():
     for bad in (0.0, -0.2, 1.5):
         with pytest.raises(InvalidInstanceError):
             compute_narrow_cuts(hk, bad)
+
+
+def _hand_pair_cuts(n, narrow):
+    """Forced-cut values over the internals 1..n-2: 0.5 (narrow at any tau)
+    for the ordered pairs in `narrow`, 2.0 (never narrow) elsewhere."""
+    internals = range(1, n - 1)
+    return {
+        (u, v): 0.5 if (u, v) in narrow else 2.0
+        for u in internals
+        for v in internals
+        if u != v
+    }
+
+
+def test_tied_vertices_share_a_layer():
+    _, hk, _ = _path_hk(5, 0)
+    st = compute_narrow_cuts(hk, 0.5, _hand_pair_cuts(5, {(1, 3), (2, 3)}))
+    assert st.layers == ((0,), (1, 2), (3,), (4,))
+
+
+def test_precedence_that_is_not_a_weak_order_raises():
+    """1 precedes 2 while 3 is comparable to neither: incomparability is not
+    transitive, so no layering exists."""
+    _, hk, _ = _path_hk(5, 0)
+    with pytest.raises(InvariantError, match="strict weak order"):
+        compute_narrow_cuts(hk, 0.5, _hand_pair_cuts(5, {(1, 2)}))
 
 
 @pytest.mark.parametrize("seed,n", FRACTIONAL_SEEDS)
