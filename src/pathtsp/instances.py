@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -24,6 +25,17 @@ TRIANGLE_TOL = 1e-9
 def is_number(value) -> bool:
     """True for real numbers, including numpy scalars, but not for bools."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _as_index(value, what: str) -> int:
+    """value as a plain int (NumPy integers included); anything that is not
+    an integer, bools too, raises InvalidInstanceError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInstanceError(f"{what} must be an integer, got {value!r}")
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -52,6 +64,8 @@ class Instance:
             raise InvalidInstanceError(f"cost matrix must be square, got {c.shape}")
         if c.shape[0] < 2:
             raise InvalidInstanceError("instance needs at least 2 vertices")
+        object.__setattr__(self, "s", _as_index(self.s, "endpoint s"))
+        object.__setattr__(self, "t", _as_index(self.t, "endpoint t"))
         if not (0 <= self.s < c.shape[0] and 0 <= self.t < c.shape[0]):
             raise InvalidInstanceError("endpoint index out of range")
         if self.s == self.t:
@@ -86,6 +100,8 @@ class GraphicalInstance:
     t: int
 
     def __post_init__(self):
+        for field in ("n", "s", "t"):
+            object.__setattr__(self, field, _as_index(getattr(self, field), field))
         if self.n < 2:
             raise InvalidInstanceError("instance needs at least 2 vertices")
         if not (0 <= self.s < self.n and 0 <= self.t < self.n):
@@ -95,6 +111,7 @@ class GraphicalInstance:
         canon = []
         seen = set()
         for u, v in self.edges:
+            u, v = _as_index(u, "edge endpoint"), _as_index(v, "edge endpoint")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InvalidInstanceError(f"edge ({u},{v}) out of range")
             if u == v:
@@ -337,7 +354,7 @@ def instance_from_dict(data: dict, path: str = "<data>") -> Instance | Graphical
         edges = _require(data, "edges", path)
         try:
             return GraphicalInstance(
-                n=n, edges=tuple((int(u), int(v)) for u, v in edges), s=s, t=t
+                n=n, edges=tuple((u, v) for u, v in edges), s=s, t=t
             )
         except (InvalidInstanceError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: bad \"edges\": {exc}") from exc

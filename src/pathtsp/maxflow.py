@@ -1,7 +1,11 @@
-"""Dense max-flow machinery: highest-label push-relabel, min cuts, Gomory-Hu.
+"""Max-flow machinery: push-relabel, min cuts, Gomory-Hu.
 
-Capacities are float matrices. `push_relabel` runs the generic algorithm to
-completion (all excess drained back), so the returned matrix is a valid
+Capacities are float matrices. `push_relabel` is highest-label push-relabel
+on neighbour lists, an exact replay of the dense rule: it performs the same
+pushes and relabels, with the same float operations in the same order, as a
+scan over every vertex would, so its flows are bit-identical to the dense
+engine's (kept in the tests as the reference). It runs the generic algorithm
+to completion (all excess drained back), so the returned matrix is a valid
 maximum flow whose per-arc values can be read off directly -- the narrow-cut
 flow network relies on that.
 """
@@ -20,67 +24,86 @@ def push_relabel(cap: np.ndarray, s: int, t: int) -> tuple[float, np.ndarray]:
     """Maximum s-t flow under nonnegative capacities cap[u][v].
 
     Returns (flow value, antisymmetric flow matrix F with F[u][v] = -F[v][u]).
+    The highest active vertex (ties to the lowest label) is discharged: scan
+    its neighbours in ascending order, pushing down every admissible arc,
+    until its excess is gone; relabel it after a scan that pushed nothing.
     """
     n = cap.shape[0]
     if s == t:
         raise ValueError("source equals sink")
-    flow = np.zeros((n, n))
+    cap = np.asarray(cap, dtype=float)
+    # Only an arc with positive capacity in either direction can ever have
+    # a residual above RESIDUAL_EPS, so scans skip every other vertex.
+    pos = cap > 0
+    rows, cols = np.nonzero(pos | pos.T)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(rows.tolist(), cols.tolist()):
+        nbrs[u].append(v)
+    c = cap.tolist()
+    flow = [[0.0] * n for _ in range(n)]
     height = [0] * n
     excess = [0.0] * n
     height[s] = n
+    eps = RESIDUAL_EPS
 
-    for v in range(n):
-        c = cap[s, v]
-        if c > 0 and v != s:
-            flow[s, v] = c
-            flow[v, s] = -c
-            excess[v] += c
-            excess[s] -= c
+    for v in nbrs[s]:
+        cv = c[s][v]
+        if cv > 0 and v != s:
+            flow[s][v] = cv
+            flow[v][s] = -cv
+            excess[v] += cv
+            excess[s] -= cv
 
-    def residual(u, v):
-        return cap[u, v] - flow[u, v]
-
-    active = {v for v in range(n) if v not in (s, t) and excess[v] > RESIDUAL_EPS}
+    active = {v for v in range(n) if v not in (s, t) and excess[v] > eps}
     while active:
         u = max(active, key=lambda v: (height[v], -v))
-        pushed = False
-        for v in range(n):
-            if height[u] == height[v] + 1 and residual(u, v) > RESIDUAL_EPS:
-                send = min(excess[u], residual(u, v))
-                flow[u, v] += send
-                flow[v, u] -= send
-                excess[u] -= send
-                excess[v] += send
-                if v not in (s, t) and excess[v] > RESIDUAL_EPS:
-                    active.add(v)
-                if excess[u] <= RESIDUAL_EPS:
-                    active.discard(u)
-                    pushed = True
-                    break
-                pushed = True
-        if not pushed:
-            floor = min(
-                (height[v] for v in range(n) if residual(u, v) > RESIDUAL_EPS),
-                default=None,
-            )
-            if floor is None:
-                # isolated excess cannot happen with antisymmetric flows
+        cu, fu, nu = c[u], flow[u], nbrs[u]
+        e = excess[u]
+        # u stays the highest active vertex until it is discharged: pushes
+        # activate only vertices one level down, and a relabel lifts u.
+        while True:
+            hu = height[u]
+            pushed = False
+            for v in nu:
+                if height[v] == hu - 1:
+                    r = cu[v] - fu[v]
+                    if r > eps:
+                        send = r if r < e else e
+                        fu[v] += send
+                        flow[v][u] -= send
+                        e -= send
+                        excess[v] += send
+                        pushed = True
+                        if v != s and v != t and excess[v] > eps:
+                            active.add(v)
+                        if e <= eps:
+                            break
+            if e <= eps:
                 active.discard(u)
-                continue
-            height[u] = floor + 1
-    return float(excess[t]), flow
+                break
+            if not pushed:
+                floor = min(
+                    (height[v] for v in nu if cu[v] - fu[v] > eps), default=None
+                )
+                if floor is None:
+                    # isolated excess cannot happen with antisymmetric flows
+                    active.discard(u)
+                    break
+                height[u] = floor + 1
+        excess[u] = e
+    return float(excess[t]), np.array(flow)
 
 
 def source_side(cap: np.ndarray, flow: np.ndarray, s: int) -> frozenset[int]:
     """Vertices reachable from s in the residual graph of a maximum flow."""
     n = cap.shape[0]
+    residual = ((cap - flow) > RESIDUAL_EPS).tolist()
     seen = [False] * n
     seen[s] = True
     queue = deque([s])
     while queue:
-        u = queue.popleft()
-        for v in range(n):
-            if not seen[v] and cap[u, v] - flow[u, v] > RESIDUAL_EPS:
+        for v, open_arc in enumerate(residual[queue.popleft()]):
+            if open_arc and not seen[v]:
                 seen[v] = True
                 queue.append(v)
     return frozenset(v for v in range(n) if seen[v])

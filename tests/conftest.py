@@ -4,7 +4,8 @@ The oracles here (BFS distances, Edmonds-Karp flow, the permutation-scan
 path optimum, Pruefer enumeration of spanning trees, the per-mask loop
 versions of the exact subset DPs) are deliberately
 written against different primitives than the package so that agreement
-is meaningful.
+is meaningful. The dense push-relabel and residual BFS are the reference
+that the package's flow engine must replay operation for operation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 from pathtsp.errors import SizeLimitError
 from pathtsp.exact import ExactResult
 from pathtsp.instances import GraphicalInstance, Instance
+from pathtsp.maxflow import RESIDUAL_EPS
 
 
 @pytest.fixture
@@ -91,6 +93,79 @@ def edmonds_karp(cap: np.ndarray, s: int, t: int) -> float:
             flow[v, u] -= bottleneck
             v = u
         total += bottleneck
+
+
+# The dense engine that maxflow.push_relabel and maxflow.source_side replay
+# exactly, kept verbatim as their reference: every scan and relabel runs over
+# all n vertices, on numpy scalars.
+def push_relabel_dense(cap: np.ndarray, s: int, t: int) -> tuple[float, np.ndarray]:
+    """Maximum s-t flow under nonnegative capacities cap[u][v].
+
+    Returns (flow value, antisymmetric flow matrix F with F[u][v] = -F[v][u]).
+    """
+    n = cap.shape[0]
+    if s == t:
+        raise ValueError("source equals sink")
+    flow = np.zeros((n, n))
+    height = [0] * n
+    excess = [0.0] * n
+    height[s] = n
+
+    for v in range(n):
+        c = cap[s, v]
+        if c > 0 and v != s:
+            flow[s, v] = c
+            flow[v, s] = -c
+            excess[v] += c
+            excess[s] -= c
+
+    def residual(u, v):
+        return cap[u, v] - flow[u, v]
+
+    active = {v for v in range(n) if v not in (s, t) and excess[v] > RESIDUAL_EPS}
+    while active:
+        u = max(active, key=lambda v: (height[v], -v))
+        pushed = False
+        for v in range(n):
+            if height[u] == height[v] + 1 and residual(u, v) > RESIDUAL_EPS:
+                send = min(excess[u], residual(u, v))
+                flow[u, v] += send
+                flow[v, u] -= send
+                excess[u] -= send
+                excess[v] += send
+                if v not in (s, t) and excess[v] > RESIDUAL_EPS:
+                    active.add(v)
+                if excess[u] <= RESIDUAL_EPS:
+                    active.discard(u)
+                    pushed = True
+                    break
+                pushed = True
+        if not pushed:
+            floor = min(
+                (height[v] for v in range(n) if residual(u, v) > RESIDUAL_EPS),
+                default=None,
+            )
+            if floor is None:
+                # isolated excess cannot happen with antisymmetric flows
+                active.discard(u)
+                continue
+            height[u] = floor + 1
+    return float(excess[t]), flow
+
+
+def source_side_dense(cap: np.ndarray, flow: np.ndarray, s: int) -> frozenset[int]:
+    """Vertices reachable from s in the residual graph of a maximum flow."""
+    n = cap.shape[0]
+    seen = [False] * n
+    seen[s] = True
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for v in range(n):
+            if not seen[v] and cap[u, v] - flow[u, v] > RESIDUAL_EPS:
+                seen[v] = True
+                queue.append(v)
+    return frozenset(v for v in range(n) if seen[v])
 
 
 def metric_report_loop(cost: np.ndarray, tol: float) -> list[tuple]:

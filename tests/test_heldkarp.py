@@ -7,7 +7,7 @@ from conftest import hamiltonian_path_instance
 from pathtsp import heldkarp
 from pathtsp.errors import InvariantError
 from pathtsp.exact import all_cut_capacities, exact_path_tsp
-from pathtsp.heldkarp import hk_solve, hk_verify, separate
+from pathtsp.heldkarp import HK_TOL, hk_solve, hk_verify, separate
 from pathtsp.instances import (
     EdgeVector,
     Instance,
@@ -176,6 +176,35 @@ def test_hk_lower_bounds_exact_optimum():
     for seed in range(8):
         inst = generate_random_metric(4 + seed, seed)
         assert hk_solve(inst).value <= exact_path_tsp(inst).optimum + 1e-7
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_hk_value_invariant_under_relabelling(data):
+    """Vertex v of the relabelled copy is vertex perm[v] of the original, s
+    and t mapped along; the LP does not see labels."""
+    n = data.draw(st.integers(3, 10), label="n")
+    inst = generate_random_metric(n, data.draw(st.integers(0, 10**6), label="seed"))
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    relabelled = Instance(
+        cost=inst.cost[np.ix_(perm, perm)], s=perm.index(inst.s), t=perm.index(inst.t)
+    )
+    assert hk_solve(relabelled).value == pytest.approx(hk_solve(inst).value, rel=1e-9)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(n=st.integers(3, 10), seed=st.integers(0, 10**6))
+def test_hk_value_invariant_under_endpoint_swap(n, seed):
+    inst = generate_random_metric(n, seed)
+    swapped = Instance(cost=inst.cost, s=inst.t, t=inst.s)
+    assert hk_solve(swapped).value == pytest.approx(hk_solve(inst).value, rel=1e-9)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(n=st.integers(3, 10), seed=st.integers(0, 10**6))
+def test_hk_value_at_most_exact_optimum(n, seed):
+    inst = generate_random_metric(n, seed)
+    assert hk_solve(inst).value <= exact_path_tsp(inst).optimum * (1.0 + HK_TOL)
 
 
 @settings(max_examples=10, deadline=None)

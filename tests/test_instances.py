@@ -182,6 +182,46 @@ def test_io_graphical_five_cycle(tmp_path, five_cycle):
     assert back.edges == five_cycle.edges
 
 
+def test_io_round_trip_random_graph(tmp_path):
+    """random_connected_graph draws its edges from a NumPy permutation, so
+    the endpoints arrive as NumPy integers."""
+    g = random_connected_graph(8, 3)
+    p = tmp_path / "graph.json"
+    write_instance(g, str(p))
+    assert read_instance(str(p)) == g
+    assert all(type(v) is int for e in g.edges for v in e)
+
+
+def test_io_round_trip_numpy_endpoints(tmp_path):
+    inst = Instance(cost=np.ones((3, 3)) - np.eye(3), s=np.int64(2), t=np.int32(0))
+    assert (type(inst.s), type(inst.t)) == (int, int)
+    p = tmp_path / "tri.json"
+    write_instance(inst, str(p))
+    back = read_instance(str(p))
+    assert (back.s, back.t) == (2, 0)
+    assert np.array_equal(back.cost, inst.cost)
+
+
+@pytest.mark.parametrize("bad", [1.0, np.float64(1.0), "1", None, True])
+def test_non_integer_fields_rejected(bad):
+    with pytest.raises(InvalidInstanceError, match="integer"):
+        Instance(cost=np.ones((3, 3)) - np.eye(3), s=bad, t=0)
+    with pytest.raises(InvalidInstanceError, match="integer"):
+        GraphicalInstance(3, ((0, bad), (1, 2)), 0, 2)
+    with pytest.raises(InvalidInstanceError, match="integer"):
+        GraphicalInstance(3, ((0, 1), (1, 2)), 0, bad)
+
+
+@pytest.mark.parametrize("endpoint", [1.7, 1.0, "1", True])
+def test_io_graph_with_non_integer_endpoint_rejected(tmp_path, endpoint):
+    p = tmp_path / "graph.json"
+    p.write_text(json.dumps(
+        {"type": "graph", "n": 3, "s": 0, "t": 2, "edges": [[0, endpoint], [1, 2]]}
+    ))
+    with pytest.raises(ParseError, match="integer"):
+        read_instance(str(p))
+
+
 def test_io_round_trip_bit_exact(tmp_path):
     inst = generate_random_metric(6, 123)
     p = tmp_path / "inst.json"

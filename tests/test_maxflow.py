@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edmonds_karp
+from conftest import edmonds_karp, push_relabel_dense, source_side_dense
+from pathtsp import maxflow, narrowcuts
+from pathtsp.heldkarp import hk_solve
+from pathtsp.instances import generate_random_metric
 from pathtsp.maxflow import (
     cut_value,
     gomory_hu_splits,
@@ -11,6 +14,7 @@ from pathtsp.maxflow import (
     min_cut,
     min_cut_merged,
     push_relabel,
+    source_side,
 )
 
 
@@ -144,3 +148,91 @@ def test_gomory_hu_splits_realize_their_values_on_sparse_graphs():
         for v, side in gomory_hu_splits(parent):
             assert cut_value(w, side) == pytest.approx(value[v], abs=1e-9)
             assert value[v] == pytest.approx(min_cut(w, v, parent[v])[0], abs=1e-9)
+
+
+# Exact replay of the dense reference -----------------------------------------
+
+
+def _assert_replays(cap, s, t):
+    """Same value, bit for bit the same flow matrix (signed zeros included)
+    and the same residual source side as the dense reference."""
+    value, flow = push_relabel(cap, s, t)
+    ref_value, ref_flow = push_relabel_dense(cap, s, t)
+    assert value == ref_value and np.signbit(value) == np.signbit(ref_value)
+    assert type(flow) is np.ndarray and flow.dtype == ref_flow.dtype
+    assert np.array_equal(flow, ref_flow)
+    assert np.array_equal(np.signbit(flow), np.signbit(ref_flow))
+    assert source_side(cap, flow, s) == source_side_dense(cap, ref_flow, s)
+
+
+def _endpoints(rng, n):
+    s, t = rng.choice(n, 2, replace=False)
+    return int(s), int(t)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_replay_integer_ties(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    w = np.triu(rng.integers(0, 3, size=(n, n)).astype(float), 1)
+    _assert_replays(w + w.T, *_endpoints(rng, n))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_replay_sparse_fractional(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 16))
+    w = np.triu(rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.2), 1)
+    _assert_replays(w + w.T, *_endpoints(rng, n))
+
+
+@pytest.mark.parametrize("k", range(-8, 9))
+def test_replay_scaled(k):
+    rng = np.random.default_rng(100 + k)
+    for _ in range(5):
+        n = int(rng.integers(3, 12))
+        w = np.triu(rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.5), 1)
+        _assert_replays((w + w.T) * 10.0**k, *_endpoints(rng, n))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_replay_asymmetric(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    cap = _random_caps(n, seed, density=0.4)
+    _assert_replays(cap, *_endpoints(rng, n))
+
+
+@pytest.mark.parametrize("n, seed", [(16, 1), (17, 2)])
+def test_replay_fractional_disjoint_network(monkeypatch, n, seed):
+    """The auxiliary network of solve_fractional_disjoint, whose per-arc flows
+    become the narrow-cut mass vectors."""
+    calls = []
+
+    def record(cap, s, t):
+        calls.append((cap.copy(), s, t))
+        return push_relabel(cap, s, t)
+
+    hk = hk_solve(generate_random_metric(n, seed))
+    _, _, tau = narrowcuts.variant_parameters("golden")
+    structure = narrowcuts.compute_narrow_cuts(hk, tau, narrowcuts.pairwise_forced_cuts(hk))
+    monkeypatch.setattr(narrowcuts, "push_relabel", record)
+    narrowcuts.solve_fractional_disjoint(structure, hk)
+    assert len(calls) == 1
+    _assert_replays(*calls[0])
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_replay_held_karp_and_pair_probes(monkeypatch, seed):
+    """Every flow that hk_solve and pairwise_forced_cuts ask for."""
+    calls = []
+
+    def record(cap, s, t):
+        calls.append((cap.copy(), s, t))
+        return push_relabel(cap, s, t)
+
+    monkeypatch.setattr(maxflow, "push_relabel", record)
+    narrowcuts.pairwise_forced_cuts(hk_solve(generate_random_metric(12, seed)))
+    assert len(calls) > 90  # the 10 * 9 pair probes and the separation rounds
+    for call in calls:
+        _assert_replays(*call)
