@@ -2,10 +2,10 @@
 prize-collecting oracles, exhaustive cut enumeration and matching search.
 
 Every routine has a hard size cap and refuses larger inputs. They are the
-tests' ground truth and also run in production: `pd_oracle` (the default
-oracle of `pc_solve`) calls `exact_pc_path`, `solve_graphical` answers
-n <= 6 with `exact_path_tsp`, cut verification enumerates up to
-CUT_ENUM_CAP and `min_tjoin` checks small matchings exhaustively.
+tests' ground truth, and all but the cut enumeration also run in
+production: `pd_oracle` (the default oracle of `pc_solve`) calls
+`exact_pc_path`, `solve_graphical` answers n <= 6 with `exact_path_tsp` and
+`min_tjoin` checks small matchings exhaustively.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .instances import EdgeVector, Instance
 
 PATH_TSP_CAP = 20
 PC_PATH_CAP = 15
-CUT_ENUM_CAP = 16
+# 2^(n-1) cuts; 18 is the largest n the tests enumerate at
+CUT_ENUM_CAP = 18
 # Masks per block when the subset DP extends a popcount layer: the block's
 # (masks, k, k) float array stays under 0.2 MB at PATH_TSP_CAP, so it stays
 # in cache and the DP's peak memory is about that of its dp array.
@@ -163,6 +164,8 @@ def all_cut_capacities(weights: EdgeVector | np.ndarray, n: int) -> tuple[np.nda
 
     Returns (membership matrix, capacities); row i describes subset S_i.
     """
+    if n > CUT_ENUM_CAP:
+        raise SizeLimitError(f"cut enumeration limit is n <= {CUT_ENUM_CAP}, got {n}")
     if isinstance(weights, EdgeVector):
         mat = weights.to_matrix(n)
     else:
@@ -188,8 +191,6 @@ def enumerate_cut_check(
     1+tau), sorted by |U|.
     """
     n = inst.n
-    if n > CUT_ENUM_CAP:
-        raise SizeLimitError(f"enumerate_cut_check limit is n <= {CUT_ENUM_CAP}, got {n}")
     memb, caps = all_cut_capacities(vector, n)
     s, t = inst.s, inst.t
     separating = memb[:, s] != memb[:, t]

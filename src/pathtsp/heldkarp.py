@@ -190,34 +190,29 @@ def hk_solve(inst: Instance, tol: float = HK_TOL) -> HKSolution:
 @dataclass(frozen=True)
 class HKReport:
     degree_violations: tuple[tuple[int, float, float], ...]  # (vertex, value, required)
-    cut_violations: tuple[tuple[frozenset[int], float, float], ...]
+    cut_violations: tuple[tuple[frozenset[int], float, float], ...]  # at most one witness
+    negative_entries: tuple[tuple[tuple[int, int], float], ...]  # (edge, value)
 
     @property
     def ok(self) -> bool:
-        return not self.degree_violations and not self.cut_violations
+        return not (self.degree_violations or self.cut_violations or self.negative_entries)
 
 
 def hk_verify(x: EdgeVector, inst: Instance, tol: float = HK_TOL) -> HKReport:
     """Check degree equalities and cut constraints against x.
 
-    Cuts are enumerated exhaustively for n <= 16; beyond that the flow-based
-    separation provides the (single) most-violated witness.
+    The cut check is `separate`: it reports one most-violated cut, or none
+    when every cut constraint holds. Its flows read negative entries as 0,
+    so those are reported on their own: x must be nonnegative.
     """
-    from .exact import CUT_ENUM_CAP, enumerate_cut_check
-
-    n = inst.n
-    edges = all_edges(n)
+    edges = all_edges(inst.n)
     matrix, want = degree_rows(inst, edges, len(edges))
     degree = matrix @ np.array([x.get(u, v) for u, v in edges])
     deg_bad = [
         (int(v), float(degree[v]), float(want[v]))
         for v in np.flatnonzero(np.abs(degree - want) > tol)
     ]
-    if n <= CUT_ENUM_CAP:
-        cut_bad = enumerate_cut_check(x, inst, ("hk",), tol=tol)
-    else:
-        worst = separate(x, inst, tol)
-        cut_bad = [] if worst is None else [
-            (worst.vertices, worst.capacity, worst.required)
-        ]
-    return HKReport(tuple(deg_bad), tuple(cut_bad))
+    worst = separate(x, inst, tol)
+    cut_bad = () if worst is None else ((worst.vertices, worst.capacity, worst.required),)
+    negative = tuple((e, w) for e, w in sorted(x.values.items()) if w < -tol)
+    return HKReport(tuple(deg_bad), cut_bad, negative)

@@ -117,13 +117,6 @@ def cut_value(weights: np.ndarray, side: Iterable[int]) -> float:
     return float(weights[np.ix_(inside, ~inside)].sum())
 
 
-def min_cut(cap: np.ndarray, s: int, t: int) -> tuple[float, frozenset[int]]:
-    """Minimum s-t cut; value is recomputed as a direct capacity sum."""
-    _, flow = push_relabel(cap, s, t)
-    side = source_side(cap, flow, s)
-    return cut_value(cap, side), side
-
-
 def min_cut_merged(
     weights: np.ndarray,
     source_group: Sequence[int],
@@ -171,7 +164,7 @@ def gomory_hu_tree(weights: np.ndarray) -> tuple[list[int], list[float]]:
     value = [0.0] * n
     for v in range(1, n):
         p = parent[v]
-        cutv, side = min_cut(weights, v, p)
+        cutv, side = min_cut_merged(weights, [v], [p])
         value[v] = cutv
         for w in range(n):
             if w != v and parent[w] == p and w in side:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInstanceError, InvariantError
-from .exact import CUT_ENUM_CAP, all_cut_capacities
 from .heldkarp import HKSolution
 from .instances import EdgeVector, Instance
 from .maxflow import cut_value, gomory_hu_splits, gomory_hu_tree, min_cut_merged, push_relabel
@@ -356,31 +355,23 @@ def verify_certificate(
 ) -> CertificateReport:
     """Check y(delta(S)) >= 1 on every S with |S cap T| odd.
 
-    Exhaustive for n <= 16; for larger instances the cheapest odd split of a
-    Gomory-Hu tree under capacities y provides the minimum odd cut.
+    The minimum odd cut is the cheapest odd split of a Gomory-Hu tree under
+    capacities y (Padberg-Rao); that split is the reported worst cut. The
+    rule needs y >= 0, so a negative entry raises InvalidInstanceError.
     """
-    n = inst.n
-    tset = sorted(cert.parity_set.vertices)
+    if any(w < -tol for w in cert.y.values.values()):
+        raise InvalidInstanceError("certificate y has a negative entry")
+    tset = cert.parity_set.vertices
     cost = cert.y.dot_costs(inst)
     if not tset:
         return CertificateReport(True, None, math.inf, cost)
-    if n <= CUT_ENUM_CAP:
-        memb, caps = all_cut_capacities(cert.y, n)
-        parity = memb[:, tset].sum(axis=1) % 2 == 1
-        idx = np.flatnonzero(parity)
-        local = int(caps[idx].argmin())
-        worst_i = int(idx[local])
-        worst = float(caps[worst_i])
-        cut = frozenset(int(v) for v in np.flatnonzero(memb[worst_i]))
-    else:
-        weights = cert.y.to_matrix(n)
-        parent, value = gomory_hu_tree(weights)
-        worst, cut = math.inf, None
-        for v, side in gomory_hu_splits(parent):
-            if len(side & set(tset)) % 2 == 1 and value[v] < worst:
-                worst, cut = float(value[v]), side
-        if cut is None:
-            raise InvariantError("no odd split found despite nonempty T")
+    parent, value = gomory_hu_tree(cert.y.to_matrix(inst.n))
+    worst, cut = math.inf, None
+    for v, side in gomory_hu_splits(parent):
+        if len(side & tset) % 2 == 1 and value[v] < worst:
+            worst, cut = float(value[v]), side
+    if cut is None:
+        raise InvariantError("no odd split found despite nonempty T")
     return CertificateReport(worst >= 1.0 - tol, cut, worst, cost)
 
 

@@ -66,13 +66,24 @@ def test_hk_and_decompose_and_narrow(unit_triangle_file, capsys):
 
 
 def test_certify_golden(tmp_path, capsys):
-    inst_file = tmp_path / "i.json"
-    assert main(["gen", "--n", "10", "--seed", "3", "--output", str(inst_file)]) == 0
-    capsys.readouterr()
-    code, payload, _ = run(capsys, "certify", str(inst_file), "--variant", "golden")
-    assert code == 0
-    assert payload["all_feasible"] is True
-    assert all(c["feasible"] for c in payload["certificates"])
+    # seed 3 has an integral x* (one tree, empty T); seed 2 has two trees
+    # whose certificates print a witness cut
+    witnessed = []
+    for seed in (3, 2):
+        inst_file = tmp_path / f"i{seed}.json"
+        assert main(["gen", "--n", "10", "--seed", str(seed), "--output", str(inst_file)]) == 0
+        capsys.readouterr()
+        code, payload, _ = run(capsys, "certify", str(inst_file), "--variant", "golden")
+        assert code == 0
+        assert payload["all_feasible"] is True
+        assert all(c["feasible"] for c in payload["certificates"])
+        witnessed += [c for c in payload["certificates"] if c["worst_cut"] is not None]
+    assert witnessed
+    # a witness cut's capacity under the printed y is the printed worst value
+    for c in witnessed:
+        side = set(c["worst_cut"])
+        crossing = sum(w for u, v, w in c["y"] if (u in side) != (v in side))
+        assert crossing == pytest.approx(c["worst_value"], rel=1e-12)
 
 
 def test_exact_command(unit_triangle_file, capsys):

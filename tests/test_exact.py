@@ -11,7 +11,9 @@ from conftest import (
 )
 from pathtsp.errors import InvalidInstanceError, SizeLimitError
 from pathtsp.exact import (
+    CUT_ENUM_CAP,
     PATH_TSP_CAP,
+    all_cut_capacities,
     brute_force_matching,
     enumerate_cut_check,
     exact_path_tsp,
@@ -135,6 +137,14 @@ def test_pc_matches_double_exhaustive():
     res = exact_pc_path(pc)
     assert res.optimum == pytest.approx(best, abs=1e-12)
     assert pc.objective(res.witness) == pytest.approx(res.optimum)
+
+
+def test_cut_enumeration_size_cap_refused():
+    n = CUT_ENUM_CAP + 1
+    with pytest.raises(SizeLimitError, match=str(CUT_ENUM_CAP)):
+        all_cut_capacities(np.zeros((n, n)), n)
+    with pytest.raises(SizeLimitError, match=str(CUT_ENUM_CAP)):
+        enumerate_cut_check(EdgeVector(), generate_random_metric(n, 0), ("hk",))
 
 
 def test_cut_check_accepts_feasible_point():

@@ -53,11 +53,11 @@ def test_separation_matches_enumeration_on_random_vectors():
             assert got.violation == pytest.approx(worst, abs=1e-9)
 
 
-@pytest.mark.parametrize("n", [17, 18])
+@pytest.mark.parametrize("n", [6, 12, 16, 17, 18])
 def test_verify_flow_branch_matches_enumeration_above_cap(n):
-    """Above CUT_ENUM_CAP, hk_verify reports separate's single witness: it
-    must be a most violated cut of the exhaustive scan, or absent when no
-    cut is violated."""
+    """hk_verify reports separate's single witness at every n: it must be a
+    most violated cut of the exhaustive scan, or absent when no cut is
+    violated."""
     rng = np.random.default_rng(n)
     for trial, high in enumerate((0.15, 0.25, 0.9)):
         inst = generate_random_metric(n, trial)
@@ -156,6 +156,25 @@ def test_hk_degree_equalities_and_verify():
 def test_hk_verify_accepts_hamiltonian_path():
     inst, path_edges = hamiltonian_path_instance(7, 2)
     assert hk_verify(EdgeVector.from_edges(path_edges), inst).ok
+
+
+@pytest.mark.parametrize("n", [8, 17])
+def test_hk_verify_reports_negative_entries(n):
+    """The path 0..n-1 plus the alternating cycle 1-3-5-7 (+e on 1-3 and
+    5-7, -e on 3-5 and 7-1) keeps every degree, and the s-t cut {0..3} falls
+    to 1 - 2e. Flows read the negative entries as 0 and see the path plus
+    two edges, so the negative entries themselves must reject x."""
+    inst, path_edges = hamiltonian_path_instance(n, 1)
+    e = 0.3
+    x = EdgeVector.from_edges(path_edges).add(
+        EdgeVector({(1, 3): e, (3, 5): -e, (5, 7): e, (1, 7): -e})
+    )
+    assert x.cut({0, 1, 2, 3}) == pytest.approx(1.0 - 2.0 * e)
+    report = hk_verify(x, inst)
+    assert report.degree_violations == ()
+    assert report.cut_violations == ()
+    assert report.negative_entries == (((1, 7), -e), ((3, 5), -e))
+    assert not report.ok
 
 
 def test_hk_verify_scaled_point_reports_all_degrees():

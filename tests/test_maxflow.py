@@ -11,7 +11,6 @@ from pathtsp.maxflow import (
     cut_value,
     gomory_hu_splits,
     gomory_hu_tree,
-    min_cut,
     min_cut_merged,
     push_relabel,
     source_side,
@@ -54,7 +53,7 @@ def test_min_cut_value_equals_flow():
         cap = _random_caps(7, seed)
         sym = cap + cap.T  # undirected-style capacities
         value, flow = push_relabel(sym, 0, 6)
-        cutv, side = min_cut(sym, 0, 6)
+        cutv, side = min_cut_merged(sym, [0], [6])
         assert 0 in side and 6 not in side
         assert cutv == pytest.approx(value, abs=1e-9)
 
@@ -114,14 +113,14 @@ def test_gomory_hu_tree_encodes_all_pairwise_cuts():
     # tree edge (v, parent) value equals the direct min cut, and the split
     # realizes it
     for v, side in gomory_hu_splits(parent):
-        direct, _ = min_cut(w, v, parent[v])
+        direct = edmonds_karp(w, v, parent[v])
         assert value[v] == pytest.approx(direct, abs=1e-9)
         assert cut_value(w, side) == pytest.approx(value[v], abs=1e-9)
     # pairwise min cut = min edge value on the tree path
     children = parent
     for a in range(n):
         for b in range(a + 1, n):
-            direct, _ = min_cut(w, a, b)
+            direct = edmonds_karp(w, a, b)
             # walk up from both ends to find the path minimum
             def ancestors(v):
                 out = [v]
@@ -147,7 +146,7 @@ def test_gomory_hu_splits_realize_their_values_on_sparse_graphs():
         parent, value = gomory_hu_tree(w)
         for v, side in gomory_hu_splits(parent):
             assert cut_value(w, side) == pytest.approx(value[v], abs=1e-9)
-            assert value[v] == pytest.approx(min_cut(w, v, parent[v])[0], abs=1e-9)
+            assert value[v] == pytest.approx(edmonds_karp(w, v, parent[v]), abs=1e-9)
 
 
 # Exact replay of the dense reference -----------------------------------------

@@ -279,49 +279,62 @@ def test_verify_scaled_point_fails_with_witness():
     assert report.worst_value == pytest.approx(0.4, abs=1e-9)
 
 
-def test_verify_gomory_hu_route_agrees_with_enumeration(monkeypatch):
-    inst = generate_random_metric(9, 59)
-    hk = hk_solve(inst)
-    combo = decompose(hk)
-    tree = combo.trees[0]
-    T = wrong_parity_set(tree, hk.s, hk.t)
-    if len(T) == 0:
-        T = ParitySet(frozenset({0, 2}))
-    cert = DominatorCertificate(hk.x.scale(0.7), "golden", 0.0, 0.7, 0.0, T)
-    by_enum = verify_certificate(cert, inst)
-    monkeypatch.setattr(narrowcuts, "CUT_ENUM_CAP", 4)
-    by_tree = verify_certificate(cert, inst)
-    assert by_tree.worst_value == pytest.approx(by_enum.worst_value, abs=1e-9)
-    assert by_tree.feasible == by_enum.feasible
-
-
-@pytest.mark.parametrize("n, seed", [(17, 2), (18, 2)])
+@pytest.mark.parametrize("n, seed", [(9, 59), (12, 3), (16, 2), (17, 2), (18, 2)])
 def test_verify_gomory_hu_branch_matches_enumeration_above_cap(n, seed):
-    """Above CUT_ENUM_CAP, verify_certificate reads the minimum odd cut off a
-    Gomory-Hu tree; it must equal the exhaustive minimum over odd cuts."""
+    """verify_certificate reads the minimum odd cut off a Gomory-Hu tree at
+    every n; it must equal the exhaustive minimum over odd cuts, on every
+    golden certificate and on x* scaled by 0.7, under the first tree's T
+    and under T = {s, t}, whose s-t cuts fall to 0.7."""
     inst = generate_random_metric(n, seed)
     hk = hk_solve(inst)
     combo = decompose(hk)
     structure = compute_narrow_cuts(hk, VARIANT_TAU["golden"])
     flows = solve_fractional_disjoint(structure, hk)
-    checked = 0
+    certs = []
     for tree in combo.trees:
         T = wrong_parity_set(tree, hk.s, hk.t)
-        if len(T) == 0:
-            continue
-        cert = build_certificate(hk, tree, T, "golden", structure, flows)
+        if len(T) > 0:
+            certs.append(build_certificate(hk, tree, T, "golden", structure, flows))
+    tree_T = wrong_parity_set(combo.trees[0], hk.s, hk.t)
+    for T in (tree_T or ParitySet(frozenset({0, 2})), ParitySet(frozenset({hk.s, hk.t}))):
+        certs.append(DominatorCertificate(hk.x.scale(0.7), "golden", 0.0, 0.7, 0.0, T))
+    for cert in certs:
         report = verify_certificate(cert, inst)
-        tset = sorted(T.vertices)
+        tset = sorted(cert.parity_set.vertices)
         memb, caps = all_cut_capacities(cert.y, n)
         least = float(caps[memb[:, tset].sum(axis=1) % 2 == 1].min())
         assert report.worst_value == pytest.approx(least, abs=1e-9)
         assert report.feasible == (least >= 1.0 - narrowcuts.FEAS_TOL)
         cut = report.worst_cut
-        assert len(cut & T.vertices) % 2 == 1
+        assert len(cut & cert.parity_set.vertices) % 2 == 1
         crossing = sum(w for (u, v), w in cert.y.values.items() if (u in cut) != (v in cut))
         assert crossing == pytest.approx(least, abs=1e-9)
-        checked += 1
-    assert checked > 0
+    assert not report.feasible  # the last certificate, under T = {s, t}
+
+
+def test_verify_refuses_negative_entries():
+    """Gomory-Hu flows read a negative y entry as 0 while cut sums count it,
+    so the minimum odd cut would be misread."""
+    inst = generate_random_metric(6, 1)
+    y = EdgeVector({(0, 1): 1.0, (1, 2): -0.5, (2, 5): 1.0})
+    cert = DominatorCertificate(y, "golden", 0.0, 0.0, 0.0, ParitySet(frozenset({0, 5})))
+    with pytest.raises(InvalidInstanceError, match="negative"):
+        verify_certificate(cert, inst)
+
+
+@pytest.mark.parametrize("n", [6, 17])
+def test_verify_disconnected_certificate_fails_at_zero(n):
+    """A y whose support has a T-odd component, and y = 0, both have a T-odd
+    cut of capacity 0."""
+    inst = generate_random_metric(n, 1)
+    T = ParitySet(frozenset({0, 1, 2, n - 1}))
+    # two paths, over 0..2 and over 3..n-1; the first holds three T vertices
+    split = EdgeVector({(v, v + 1): 1.0 for v in range(n - 1) if v != 2})
+    for y in (split, EdgeVector()):
+        report = verify_certificate(DominatorCertificate(y, "golden", 0.0, 0.0, 0.0, T), inst)
+        assert not report.feasible
+        assert report.worst_value == 0.0
+        assert len(report.worst_cut & T.vertices) % 2 == 1
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
