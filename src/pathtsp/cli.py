@@ -34,7 +34,6 @@ from .narrowcuts import (
     build_certificate,
     certificate_to_dict,
     compute_narrow_cuts,
-    pairwise_forced_cuts,
     solve_fractional_disjoint,
     variant_parameters,
     verify_certificate,
@@ -239,8 +238,7 @@ def _run(args: argparse.Namespace) -> dict | None:
         hk = hk_solve(inst)
         combo = decompose(hk)
         _, _, tau = variant_parameters(args.variant)
-        pair_cuts = pairwise_forced_cuts(hk) if tau > 0.0 else None
-        structure = compute_narrow_cuts(hk, tau, pair_cuts) if tau > 0.0 else None
+        structure = compute_narrow_cuts(hk, tau) if tau > 0.0 else None
         flows = (
             solve_fractional_disjoint(structure, hk)
             if args.variant == "golden"

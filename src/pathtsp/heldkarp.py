@@ -205,9 +205,11 @@ def hk_verify(x: EdgeVector, inst: Instance, tol: float = HK_TOL) -> HKReport:
     when every cut constraint holds. Its flows read negative entries as 0,
     so those are reported on their own: x must be nonnegative.
     """
-    edges = all_edges(inst.n)
-    matrix, want = degree_rows(inst, edges, len(edges))
-    degree = matrix @ np.array([x.get(u, v) for u, v in edges])
+    pairs = sorted(x.values.items())
+    ends = np.array([e for e, _ in pairs], dtype=int).reshape(-1, 2)
+    degree = np.bincount(ends.ravel(), np.repeat([w for _, w in pairs], 2), inst.n)
+    want = np.full(inst.n, 2.0)
+    want[[inst.s, inst.t]] = 1.0
     deg_bad = [
         (int(v), float(degree[v]), float(want[v]))
         for v in np.flatnonzero(np.abs(degree - want) > tol)

@@ -1,10 +1,14 @@
 """Narrow-cut layer structure and fractional T-join dominator certificates.
 
 An s-t cut is tau-narrow when its capacity under the Held-Karp point x*
-stays below 1 + tau. Narrow cuts never cross, so they induce a layering of
-the vertex set; the layers are recovered here from O(n^2) forced min-cut
-probes: internal u strictly precedes internal v iff the cheapest cut with
-{s,u} on one side and {v,t} on the other is narrow. Each narrow cut gets
+stays below 1 + tau. Every cut below 2 of a feasible x* separates s from t,
+and narrow cuts never cross, so two vertices lie in different layers exactly
+when their minimum cut is narrow. The layers are read off one Gomory-Hu tree
+of x* (n - 1 flows): drop its narrow edges, all on the tree's s-t path, and
+take the components in path order. The definition -- internal u strictly
+precedes internal v iff the cheapest cut with {s,u} on one side and {v,t} on
+the other is narrow -- is then checked on consecutive vertices, 2(n - 3)
+forced-cut probes. Each narrow cut gets
 representative edges (the ones leaving its layer forward), and an auxiliary
 flow network turns these into fractionally disjoint unit-mass vectors.
 
@@ -16,6 +20,7 @@ the representatives; four parameter variants are provided, from the plain
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,56 +121,76 @@ class CertificateReport:
     cost: float
 
 
-def pairwise_forced_cuts(xstar: HKSolution) -> dict[tuple[int, int], float]:
+class _ForcedCuts(Mapping):
+    """Read-only forced-cut values of one Held-Karp point, each computed on
+    first access and kept."""
+
+    def __init__(self, xstar: HKSolution):
+        self._weights = xstar.x.to_matrix(xstar.n)
+        self._s, self._t = xstar.s, xstar.t
+        internals = [v for v in range(xstar.n) if v not in (xstar.s, xstar.t)]
+        self._pairs = dict.fromkeys((u, v) for u in internals for v in internals if u != v)
+        self._values: dict[tuple[int, int], float] = {}
+
+    def __getitem__(self, pair: tuple[int, int]) -> float:
+        if pair not in self._pairs:
+            raise KeyError(pair)
+        if pair not in self._values:
+            u, v = pair
+            cap, _ = min_cut_merged(self._weights, [self._s, u], [v, self._t])
+            self._values[pair] = cap
+        return self._values[pair]
+
+    def __contains__(self, pair) -> bool:
+        return pair in self._pairs
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+
+def pairwise_forced_cuts(xstar: HKSolution) -> Mapping[tuple[int, int], float]:
     """Min-cut value separating {s,u} from {v,t} for every ordered internal
-    pair (u, v); reusable across different tau thresholds."""
-    n, s, t = xstar.n, xstar.s, xstar.t
-    weights = xstar.x.to_matrix(n)
-    internals = [v for v in range(n) if v not in (s, t)]
-    out: dict[tuple[int, int], float] = {}
-    for u in internals:
-        for v in internals:
-            if u == v:
-                continue
-            cap, _ = min_cut_merged(weights, [s, u], [v, t])
-            out[(u, v)] = cap
-    return out
+    pair (u, v), as a mapping that runs a pair's flow on first access and
+    keeps the value; share it across tau thresholds to probe each pair once."""
+    return _ForcedCuts(xstar)
 
 
 def compute_narrow_cuts(
     xstar: HKSolution,
     tau: float,
-    pair_cuts: dict[tuple[int, int], float] | None = None,
+    pair_cuts: Mapping[tuple[int, int], float] | None = None,
 ) -> NarrowCutStructure:
-    """Layered structure of all tau-narrow cuts of a Held-Karp point."""
+    """Layered structure of all tau-narrow cuts of a Held-Karp point.
+
+    The layers are the components of the Gomory-Hu tree of x* once its edges
+    below 1 + tau are removed, in s-t order. `pair_cuts` (by default a fresh
+    `pairwise_forced_cuts(xstar)`) is read for consecutive internal vertices
+    only: the forced cut (a, b) must be narrow exactly when a and b lie in
+    different layers, and (b, a) never. A narrow tree edge off the s-t path,
+    or any disagreement, raises InvariantError.
+    """
     if not (0.0 < tau <= 1.0):
         raise InvalidInstanceError(f"tau must be in (0, 1], got {tau}")
     n, s, t = xstar.n, xstar.s, xstar.t
-    internals = [v for v in range(n) if v not in (s, t)]
     if pair_cuts is None:
         pair_cuts = pairwise_forced_cuts(xstar)
     threshold = 1.0 + tau
-
-    # before[i, j]: internals[i] strictly precedes internals[j]. A strict
-    # weak order is exactly a relation decided by comparing ranks, where a
-    # vertex's rank is its number of predecessors; the layers are the ranks.
-    k = len(internals)
-    before = np.zeros((k, k), dtype=bool)
-    for i, u in enumerate(internals):
-        for j, v in enumerate(internals):
-            before[i, j] = i != j and pair_cuts[(u, v)] < threshold
-    rank = before.sum(axis=0)
-    if not np.array_equal(before, rank[:, None] < rank[None, :]):
-        raise InvariantError(
-            "narrow-cut precedence is not a strict weak order; "
-            "x* is numerically infeasible"
-        )
-    middle = [
-        tuple(internals[i] for i in np.flatnonzero(rank == r)) for r in np.unique(rank)
-    ]
-    layers = [(s,)] + middle + [(t,)]
-
     weights = xstar.x.to_matrix(n)
+    layers = _tree_layers(weights, s, t, threshold)
+
+    layer_of = {v: i for i, layer in enumerate(layers) for v in layer}
+    internal_order = [v for layer in layers[1:-1] for v in layer]
+    for a, b in zip(internal_order, internal_order[1:]):
+        split = layer_of[a] != layer_of[b]
+        if (pair_cuts[(a, b)] < threshold) != split or pair_cuts[(b, a)] < threshold:
+            raise InvariantError(
+                f"forced cuts between {a} and {b} disagree with the Gomory-Hu "
+                "layers; x* is numerically infeasible"
+            )
+
     prefix_caps = []
     acc: list[int] = []
     for layer in layers[:-1]:
@@ -177,7 +202,6 @@ def compute_narrow_cuts(
             )
         prefix_caps.append(cap)
 
-    layer_of = {v: i for i, layer in enumerate(layers) for v in layer}
     reps: list[tuple[tuple[int, int], ...]] = []
     for i in range(len(layers) - 1):
         edges = tuple(
@@ -199,6 +223,49 @@ def compute_narrow_cuts(
     )
     _check_representative_mass(structure, xstar)
     return structure
+
+
+def _tree_layers(
+    weights: np.ndarray, s: int, t: int, threshold: float
+) -> list[tuple[int, ...]]:
+    """Components of the Gomory-Hu tree of `weights` less its edges below
+    `threshold`, in s-t order, members sorted; s and t must end up alone."""
+    parent, value = gomory_hu_tree(weights)
+    # tree edge (v, parent[v]) is named by v; s-t path through the lowest
+    # common ancestor
+    up_s, up_t = _ancestors(parent, s), _ancestors(parent, t)
+    meet = next(v for v in up_s if v in up_t)
+    below_s, below_t = up_s[: up_s.index(meet)], up_t[: up_t.index(meet)]
+    narrow = {v for v in range(len(parent)) if parent[v] >= 0 and value[v] < threshold}
+    off_path = narrow - set(below_s) - set(below_t)
+    if off_path:
+        v = min(off_path)
+        raise InvariantError(
+            f"Gomory-Hu edge {v}-{parent[v]} has cut value {value[v]} < {threshold} "
+            "but leaves s and t on one side; x* is numerically infeasible"
+        )
+
+    def top(v: int) -> int:
+        while parent[v] >= 0 and v not in narrow:
+            v = parent[v]
+        return v
+
+    members: dict[int, list[int]] = {}
+    for v in range(len(parent)):
+        members.setdefault(top(v), []).append(v)
+    path = below_s + [meet] + below_t[::-1]
+    layers = [tuple(members[c]) for c in dict.fromkeys(top(v) for v in path)]
+    if layers[0] != (s,) or layers[-1] != (t,):
+        raise InvariantError("an endpoint shares its narrow-cut layer; x* is infeasible")
+    return layers
+
+
+def _ancestors(parent: list[int], v: int) -> list[int]:
+    """v and its ancestors in a parent-pointer tree, v first."""
+    chain = [v]
+    while parent[chain[-1]] >= 0:
+        chain.append(parent[chain[-1]])
+    return chain
 
 
 def _check_representative_mass(structure: NarrowCutStructure, xstar: HKSolution):
@@ -391,7 +458,7 @@ def certificate_cost_bound(
     xstar: HKSolution,
     combo,
     variant: str,
-    pair_cuts: dict[tuple[int, int], float] | None = None,
+    pair_cuts: Mapping[tuple[int, int], float] | None = None,
 ) -> CostBoundReport:
     """Aggregate tree + certificate cost across the decomposition and
     compare with the variant's published guarantee."""

@@ -2,7 +2,8 @@
 
 The oracles here (BFS distances, Edmonds-Karp flow, the permutation-scan
 path optimum, Pruefer enumeration of spanning trees, the per-mask loop
-versions of the exact subset DPs) are deliberately
+versions of the exact subset DPs, the narrow-cut layers by the all-pairs
+precedence rule) are deliberately
 written against different primitives than the package so that agreement
 is meaningful. The dense push-relabel and residual BFS are the reference
 that the package's flow engine must replay operation for operation.
@@ -166,6 +167,45 @@ def source_side_dense(cap: np.ndarray, flow: np.ndarray, s: int) -> frozenset[in
                 seen[v] = True
                 queue.append(v)
     return frozenset(v for v in range(n) if seen[v])
+
+
+def forced_cuts_eager(xstar) -> dict[tuple[int, int], float]:
+    """Min cut separating {s,u} from {v,t} for every ordered internal pair
+    (u, v), all probed up front."""
+    from pathtsp.maxflow import min_cut_merged
+
+    n, s, t = xstar.n, xstar.s, xstar.t
+    weights = xstar.x.to_matrix(n)
+    internals = [v for v in range(n) if v not in (s, t)]
+    return {
+        (u, v): min_cut_merged(weights, [s, u], [v, t])[0]
+        for u in internals
+        for v in internals
+        if u != v
+    }
+
+
+def narrow_layers_by_pairs(xstar, tau: float, pair_cuts) -> tuple[tuple, tuple]:
+    """(layers, prefix capacities) of the tau-narrow cuts by the definition:
+    internal u strictly precedes internal v iff the forced cut (u, v) is
+    below 1 + tau. The precedence must be a strict weak order, i.e. decided
+    by comparing ranks (numbers of predecessors); the layers are the ranks."""
+    from pathtsp.maxflow import cut_value
+
+    n, s, t = xstar.n, xstar.s, xstar.t
+    internals = [v for v in range(n) if v not in (s, t)]
+    k = len(internals)
+    before = np.zeros((k, k), dtype=bool)
+    for i, u in enumerate(internals):
+        for j, v in enumerate(internals):
+            before[i, j] = i != j and pair_cuts[(u, v)] < 1.0 + tau
+    rank = before.sum(axis=0)
+    assert np.array_equal(before, rank[:, None] < rank[None, :]), "not a strict weak order"
+    middle = [tuple(internals[i] for i in np.flatnonzero(rank == r)) for r in np.unique(rank)]
+    layers = ((s,), *middle, (t,))
+    weights = xstar.x.to_matrix(n)
+    prefixes = itertools.accumulate(layers[:-1], lambda acc, layer: acc + layer)
+    return layers, tuple(cut_value(weights, list(p)) for p in prefixes)
 
 
 def metric_report_loop(cost: np.ndarray, tol: float) -> list[tuple]:

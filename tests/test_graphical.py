@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
+from conftest import forced_cuts_eager, narrow_layers_by_pairs, random_connected_graph
 from pathtsp.errors import InvalidInstanceError
 from pathtsp.exact import exact_path_tsp
 from pathtsp.graphical import (
@@ -148,6 +148,26 @@ def test_layer_connectivity_matches_enumeration(n, seed, density, theta):
     st = compute_narrow_cuts(hk, 1.0 - theta)
     assert max(len(layer) for layer in st.layers) > 1
     assert _assert_layer_checks_exact(hk, st, theta).all_hold
+
+
+# x* of (11, 24, 0.2) has s-t cuts of 5/3, narrow at the ratio theta (tau =
+# 0.877) but not at the gap theta (tau = 0.627); every other graph here and
+# every random metric in the tests has cut values 1 or >= 2 only
+TAU_SENSITIVE_GRAPH = (11, 24, 0.2)
+
+
+@pytest.mark.parametrize(
+    "n, seed, density",
+    LAYERED_GRAPHS + [TAU_SENSITIVE_GRAPH] + [(n, 400 + n, 0.35) for n in range(5, 13)],
+)
+def test_layers_match_the_all_pairs_rule(n, seed, density):
+    """Gomory-Hu layers and prefix capacities equal the definition's at the
+    ratio and the gap theta."""
+    hk = hk_solve(metric_closure(random_connected_graph(n, seed, density)))
+    eager = forced_cuts_eager(hk)
+    for theta in (RATIO_CONSTANTS[0], GAP_CONSTANTS[0]):
+        st = compute_narrow_cuts(hk, 1.0 - theta)
+        assert (st.layers, st.prefix_caps) == narrow_layers_by_pairs(hk, 1.0 - theta, eager)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -231,7 +231,7 @@ def test_replay_held_karp_and_pair_probes(monkeypatch, seed):
         return push_relabel(cap, s, t)
 
     monkeypatch.setattr(maxflow, "push_relabel", record)
-    narrowcuts.pairwise_forced_cuts(hk_solve(generate_random_metric(12, seed)))
+    dict(narrowcuts.pairwise_forced_cuts(hk_solve(generate_random_metric(12, seed))))
     assert len(calls) > 90  # the 10 * 9 pair probes and the separation rounds
     for call in calls:
         _assert_replays(*call)

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import edmonds_karp, hamiltonian_path_instance
-from pathtsp import narrowcuts
+from conftest import (
+    edmonds_karp,
+    forced_cuts_eager,
+    hamiltonian_path_instance,
+    narrow_layers_by_pairs,
+)
+from pathtsp import maxflow, narrowcuts
 from pathtsp.decompose import decompose
 from pathtsp.errors import InvalidInstanceError, InvariantError
 from pathtsp.exact import all_cut_capacities, enumerate_cut_check
@@ -86,17 +91,117 @@ def _hand_pair_cuts(n, narrow):
 
 
 def test_tied_vertices_share_a_layer():
-    _, hk, _ = _path_hk(5, 0)
-    st = compute_narrow_cuts(hk, 0.5, _hand_pair_cuts(5, {(1, 3), (2, 3)}))
-    assert st.layers == ((0,), (1, 2), (3,), (4,))
+    """Random metric (12, 26) has a layer of four and a layer of two at the
+    golden tau: within a layer neither forced cut is narrow, across
+    consecutive layers the forward one is."""
+    hk = hk_solve(generate_random_metric(12, 26))
+    tau = VARIANT_TAU["golden"]
+    eager = forced_cuts_eager(hk)
+    st = compute_narrow_cuts(hk, tau)
+    assert st.layers == ((0,), (3, 4, 5, 7), (2, 6), (11,), (8,), (9,), (10,), (1,))
+    assert (st.layers, st.prefix_caps) == narrow_layers_by_pairs(hk, tau, eager)
+    for i, layer in enumerate(st.layers[1:-1], start=1):
+        for u in layer:
+            assert all(eager[(u, v)] >= 1 + tau for v in layer if v != u)
+            for later in st.layers[i + 1 : -1]:
+                assert all(eager[(u, v)] < 1 + tau <= eager[(v, u)] for v in later)
 
 
-def test_precedence_that_is_not_a_weak_order_raises():
-    """1 precedes 2 while 3 is comparable to neither: incomparability is not
-    transitive, so no layering exists."""
+@pytest.mark.parametrize(
+    "narrow",
+    [
+        {(1, 3), (2, 3)},  # ties 1 and 2, which the path puts in two layers
+        {(1, 2)},  # not even a strict weak order
+        {(1, 2), (2, 3), (1, 3), (3, 2)},  # a backward narrow cut
+    ],
+    ids=["tie", "not_weak_order", "backward"],
+)
+def test_pair_cuts_that_disagree_with_the_layering_raise(narrow):
+    """The path 0-1-2-3-4 has singleton layers; a hand forced-cut mapping
+    that says otherwise on consecutive vertices is refused."""
     _, hk, _ = _path_hk(5, 0)
-    with pytest.raises(InvariantError, match="strict weak order"):
-        compute_narrow_cuts(hk, 0.5, _hand_pair_cuts(5, {(1, 2)}))
+    with pytest.raises(InvariantError, match="disagree with the Gomory-Hu layers"):
+        compute_narrow_cuts(hk, 0.5, _hand_pair_cuts(5, narrow))
+
+
+def test_narrow_cut_leaving_s_and_t_together_raises():
+    """x* = the path 0-1-4-5 plus the pendant 1 -0.3- 2 -1- 3 -0.3- 4: the
+    set {2, 3} costs 0.6 < 1 + tau but separates nothing, so this x* is not
+    Held-Karp feasible and its Gomory-Hu tree has a narrow edge off the
+    s-t path."""
+    n = 6
+    x = EdgeVector({(0, 1): 1.0, (1, 4): 1.0, (4, 5): 1.0, (1, 2): 0.3, (2, 3): 1.0, (3, 4): 0.3})
+    assert x.cut({2, 3}) == pytest.approx(0.6)
+    hk = HKSolution(x, 0.0, 0, n, 0, n - 1)
+    with pytest.raises(InvariantError, match="leaves s and t on one side"):
+        compute_narrow_cuts(hk, 0.5)
+
+
+def test_endpoint_sharing_a_layer_raises():
+    """x*(delta(s)) = 2 on the path 0=1-2-3-4: no narrow cut separates s
+    from its neighbour, so s cannot form the first layer."""
+    x = EdgeVector({(0, 1): 2.0, (1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0})
+    hk = HKSolution(x, 0.0, 0, 5, 0, 4)
+    with pytest.raises(InvariantError, match="endpoint shares"):
+        compute_narrow_cuts(hk, 0.5)
+
+
+NARROW_TAUS = (0.05, 1.0 / 7.0, 0.3, 0.5, 3.0 - math.sqrt(5.0), 1.0 - 0.12297, 1.0)
+
+
+@pytest.mark.parametrize("n", [6, 9, 12, 17])
+@pytest.mark.parametrize("seed", range(10))
+def test_layers_match_the_all_pairs_rule(n, seed):
+    """Gomory-Hu layers and prefix capacities equal the definition's, with
+    the lazy mapping shared across tau and a fresh one by default; every
+    forced cut equals the eager probe's."""
+    hk = hk_solve(generate_random_metric(n, seed))
+    eager = forced_cuts_eager(hk)
+    lazy = pairwise_forced_cuts(hk)
+    for tau in NARROW_TAUS:
+        st = compute_narrow_cuts(hk, tau, lazy)
+        assert (st.layers, st.prefix_caps) == narrow_layers_by_pairs(hk, tau, eager)
+    assert compute_narrow_cuts(hk, NARROW_TAUS[0]) == compute_narrow_cuts(hk, NARROW_TAUS[0], eager)
+    assert list(lazy) == list(eager)
+    assert dict(lazy) == eager
+
+
+def test_forced_cuts_are_probed_on_first_access(monkeypatch):
+    hk = hk_solve(generate_random_metric(9, 2))
+    calls = []
+    real = narrowcuts.min_cut_merged
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(narrowcuts, "min_cut_merged", record)
+    lazy = pairwise_forced_cuts(hk)
+    assert len(lazy) == 7 * 6 and (2, 3) in lazy and (0, 3) not in lazy
+    assert calls == []
+    first = lazy[(2, 3)]
+    assert lazy[(2, 3)] == first and len(calls) == 1
+    with pytest.raises(KeyError):
+        lazy[(3, 3)]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tau", [1.0 / 7.0, VARIANT_TAU["golden"]])
+def test_narrow_cuts_run_n_minus_1_plus_2_n_minus_3_flows(monkeypatch, tau):
+    """One Gomory-Hu tree (n - 1 flows) and the two forced cuts of each
+    consecutive internal pair, where the all-pairs rule ran (n-2)(n-3)."""
+    n = 17
+    hk = hk_solve(generate_random_metric(n, 2))
+    calls = []
+    real = maxflow.push_relabel
+
+    def record(cap, s, t):
+        calls.append(cap.shape[0])
+        return real(cap, s, t)
+
+    monkeypatch.setattr(maxflow, "push_relabel", record)
+    compute_narrow_cuts(hk, tau)
+    assert len(calls) <= (n - 1) + 2 * (n - 3)
 
 
 @pytest.mark.parametrize("seed,n", FRACTIONAL_SEEDS)
