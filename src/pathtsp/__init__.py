@@ -36,6 +36,6 @@ from .narrowcuts import (
 )
 from .prize import PCInstance, PCLPSolution, pc_lp_solve, pc_solve, pd_oracle, threshold_subinstance
 from .graphical import build_layer_traversal, check_layer_connectivity, ratio_expression, solve_graphical
-from .exact import ExactResult, enumerate_cut_check, exact_path_tsp, exact_pc_path
+from .exact import ExactResult, exact_path_tsp, exact_pc_path
 
 __version__ = "0.1.0"

@@ -25,22 +25,20 @@ from .instances import (
     instance_from_dict,
     instance_to_dict,
     metric_closure,
+    read_json,
     require_metric,
     validate_metric,
     write_instance,
 )
 from .narrowcuts import (
     VARIANTS,
-    build_certificate,
     certificate_to_dict,
     compute_narrow_cuts,
-    solve_fractional_disjoint,
-    variant_parameters,
+    tree_certificates,
     verify_certificate,
 )
 from .prize import PCInstance, pc_solve
 from .solver import GOLDEN_RATIO, solve_bom, solve_hoogeveen
-from .tjoin import wrong_parity_set
 
 USAGE_ERROR, INPUT_ERROR, INVARIANT_ERROR = 1, 2, 3
 
@@ -120,21 +118,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: top-level value must be an object")
-    return raw
-
-
 def _emit(payload: dict, output: str | None):
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if output:
@@ -155,7 +138,7 @@ def _run(args: argparse.Namespace) -> dict | None:
             return None
         return instance_to_dict(inst)
 
-    raw = _read_json(args.instance)
+    raw = read_json(args.instance)
     loaded = instance_from_dict(raw, args.instance)
 
     if args.command == "validate":
@@ -236,19 +219,9 @@ def _run(args: argparse.Namespace) -> dict | None:
 
     if args.command == "certify":
         hk = hk_solve(inst)
-        combo = decompose(hk)
-        _, _, tau = variant_parameters(args.variant)
-        structure = compute_narrow_cuts(hk, tau) if tau > 0.0 else None
-        flows = (
-            solve_fractional_disjoint(structure, hk)
-            if args.variant == "golden"
-            else None
-        )
         certs = []
         all_feasible = True
-        for tree in combo.trees:
-            T = wrong_parity_set(tree, hk.s, hk.t)
-            cert = build_certificate(hk, tree, T, args.variant, structure, flows)
+        for cert in tree_certificates(hk, decompose(hk), args.variant):
             report = verify_certificate(cert, inst)
             all_feasible &= report.feasible
             certs.append(certificate_to_dict(cert, report))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, IterationLimitError, NotConnectedError
-from .instances import EdgeVector, all_edges
+from .heldkarp import HKSolution
+from .instances import EdgeVector
 from .simplex import LinearProgram, simplex_solve
 
 SUPPORT_EPS = 1e-9
@@ -54,21 +55,11 @@ class _DisjointSet:
         return True
 
 
-def max_weight_spanning_tree(
-    n: int,
-    weights: EdgeVector,
-    restrict_to_support: bool = True,
-) -> frozenset[tuple[int, int]]:
-    """Greedy maximum-weight spanning tree, ties broken by canonical edge order.
-
-    With restrict_to_support, only edges keyed in `weights` are candidates
-    (entries may be negative, e.g. LP duals); otherwise all of K_n competes,
-    missing edges at weight 0.
-    """
-    if restrict_to_support:
-        candidates = sorted(weights.values.items())
-    else:
-        candidates = [(e, weights.get(*e)) for e in all_edges(n)]
+def max_weight_spanning_tree(n: int, weights: EdgeVector) -> frozenset[tuple[int, int]]:
+    """Greedy maximum-weight spanning tree over the edges keyed in `weights`
+    (entries may be negative, e.g. LP duals), ties broken by canonical edge
+    order."""
+    candidates = sorted(weights.values.items())
     candidates.sort(key=lambda ew: (-ew[1], ew[0]))
     ds = _DisjointSet(n)
     tree = []
@@ -89,20 +80,15 @@ def _tree_is_spanning(tree: frozenset, n: int) -> bool:
     return all(ds.union(u, v) for u, v in tree)
 
 
-def decompose(xstar, n: int | None = None, tol: float = RESIDUAL_TOL) -> TreeCombination:
-    """Express x* as a convex combination of spanning trees of its support.
+def decompose(xstar: HKSolution) -> TreeCombination:
+    """Express the Held-Karp point x* as a convex combination of spanning
+    trees of its support.
 
-    Accepts an HKSolution or a bare EdgeVector (then n must be given).
-    Raises when the achieved max-norm residual exceeds tol, which signals
-    that x* is outside the spanning tree polytope, i.e. an upstream bug.
+    Raises when the achieved max-norm residual exceeds RESIDUAL_TOL, which
+    signals that x* is outside the spanning tree polytope, i.e. an upstream
+    bug.
     """
-    if hasattr(xstar, "x"):
-        x: EdgeVector = xstar.x
-        n = xstar.n
-    else:
-        x = xstar
-        if n is None:
-            raise ValueError("n is required when passing a bare EdgeVector")
+    x, n = xstar.x, xstar.n
     support = x.support(SUPPORT_EPS)
     target = {e: x.values[e] for e in support}
     m = len(support)
@@ -134,7 +120,7 @@ def decompose(xstar, n: int | None = None, tol: float = RESIDUAL_TOL) -> TreeCom
         duals = res.row_duals
         edge_duals = EdgeVector({e: duals[i] for e, i in idx.items()})
         mu = duals[m]
-        priced = max_weight_spanning_tree(n, edge_duals, restrict_to_support=True)
+        priced = max_weight_spanning_tree(n, edge_duals)
         priced_weight = sum(edge_duals.get(*e) for e in priced)
         if slack <= 1e-10 or priced_weight + mu <= 1e-9 or priced in trees:
             break
@@ -149,13 +135,10 @@ def decompose(xstar, n: int | None = None, tol: float = RESIDUAL_TOL) -> TreeCom
     if total <= 0:
         raise InvariantError("decomposition lost all tree mass")
     kept = [(t, l / total) for t, l in kept]
-    combined = EdgeVector()
-    for tree, lam in kept:
-        combined = combined.add(EdgeVector.from_edges(tree), lam)
-    residual = _max_residual(combined, x)
-    if residual > tol:
+    residual = _max_residual(kept, x)
+    if residual > RESIDUAL_TOL:
         raise IterationLimitError(
-            f"decomposition residual {residual:.3g} exceeds tolerance {tol:.3g}"
+            f"decomposition residual {residual:.3g} exceeds tolerance {RESIDUAL_TOL:.3g}"
         )
     return TreeCombination(
         trees=tuple(t for t, _ in kept),
@@ -164,7 +147,12 @@ def decompose(xstar, n: int | None = None, tol: float = RESIDUAL_TOL) -> TreeCom
     )
 
 
-def _max_residual(combined: EdgeVector, x: EdgeVector) -> float:
+def _max_residual(weighted_trees, x: EdgeVector) -> float:
+    """Max-norm distance from x to sum(lambda * chi(T)) over the (tree,
+    lambda) pairs, added in order."""
+    combined = EdgeVector()
+    for tree, lam in weighted_trees:
+        combined = combined.add(EdgeVector.from_edges(tree), lam)
     keys = set(combined.values) | set(x.values)
     return max(
         (abs(combined.values.get(e, 0.0) - x.values.get(e, 0.0)) for e in keys),
@@ -172,14 +160,10 @@ def _max_residual(combined: EdgeVector, x: EdgeVector) -> float:
     )
 
 
-def verify_combination(xstar, combo: TreeCombination, tol: float = RESIDUAL_TOL):
-    """Check every TreeCombination invariant against x*; returns (ok, max deviation)."""
-    if hasattr(xstar, "x"):
-        x: EdgeVector = xstar.x
-        n = xstar.n
-    else:
-        x = xstar
-        n = 1 + max(v for e in x.values for v in e)
+def verify_combination(xstar: HKSolution, combo: TreeCombination):
+    """Check every TreeCombination invariant against the Held-Karp point x*,
+    deviations to within RESIDUAL_TOL; returns (ok, max deviation)."""
+    x, n = xstar.x, xstar.n
     ok = True
     support = set(x.support(SUPPORT_EPS / 2))
     for tree in combo.trees:
@@ -191,10 +175,7 @@ def verify_combination(xstar, combo: TreeCombination, tol: float = RESIDUAL_TOL)
         ok = False
     if len(combo.trees) > len(support) + 1:
         ok = False
-    combined = EdgeVector()
-    for tree, lam in zip(combo.trees, combo.lambdas):
-        combined = combined.add(EdgeVector.from_edges(tree), lam)
-    deviation = _max_residual(combined, x)
-    if deviation > tol:
+    deviation = _max_residual(zip(combo.trees, combo.lambdas), x)
+    if deviation > RESIDUAL_TOL:
         ok = False
     return ok, deviation

@@ -1,11 +1,12 @@
 """Exact solvers: one Held-Karp subset DP behind the path-TSP and
-prize-collecting oracles, exhaustive cut enumeration and matching search.
+prize-collecting oracles, the capacity of every cut, and matching search.
 
 Every routine has a hard size cap and refuses larger inputs. They are the
-tests' ground truth, and all but the cut enumeration also run in
+tests' ground truth, and all but the cut capacities also run in
 production: `pd_oracle` (the default oracle of `pc_solve`) calls
 `exact_pc_path`, `solve_graphical` answers n <= 6 with `exact_path_tsp` and
-`min_tjoin` checks small matchings exhaustively.
+`min_tjoin` checks small matchings exhaustively. The cut scan built on
+`all_cut_capacities` lives with the tests.
 """
 
 from __future__ import annotations
@@ -159,74 +160,19 @@ def _half_subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, memb
 
 
-def all_cut_capacities(weights: EdgeVector | np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def all_cut_capacities(weights: EdgeVector, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Capacity of every cut of K_n under `weights`.
 
     Returns (membership matrix, capacities); row i describes subset S_i.
     """
     if n > CUT_ENUM_CAP:
         raise SizeLimitError(f"cut enumeration limit is n <= {CUT_ENUM_CAP}, got {n}")
-    if isinstance(weights, EdgeVector):
-        mat = weights.to_matrix(n)
-    else:
-        mat = np.asarray(weights, dtype=float)
+    mat = weights.to_matrix(n)
     _, memb = _half_subsets(n)
     us, vs = np.triu_indices(n, k=1)
     w = mat[us, vs]
     crossing = memb[:, us] != memb[:, vs]
     return memb, crossing @ w
-
-
-def enumerate_cut_check(
-    vector: EdgeVector,
-    inst: Instance,
-    family,
-    tol: float = 1e-7,
-) -> list[tuple[frozenset[int], float, float]]:
-    """Exhaustive cut scan; ground truth for the flow-based routines.
-
-    family is ("hk",), ("tjoin", T) or ("narrow", tau). For hk/tjoin the
-    result lists violations (set, capacity, required bound); for narrow it
-    lists the tau-narrow s-t cuts themselves as (U with s inside, capacity,
-    1+tau), sorted by |U|.
-    """
-    n = inst.n
-    memb, caps = all_cut_capacities(vector, n)
-    s, t = inst.s, inst.t
-    separating = memb[:, s] != memb[:, t]
-    kind = family[0]
-    out: list[tuple[frozenset[int], float, float]] = []
-    if kind == "hk":
-        required = np.where(separating, 1.0, 2.0)
-        bad = caps < required - tol
-        for i in np.flatnonzero(bad):
-            out.append((_row_set(memb, i), float(caps[i]), float(required[i])))
-    elif kind == "tjoin":
-        tset = sorted(family[1])
-        if not tset:
-            return []
-        parity = memb[:, tset].sum(axis=1) % 2 == 1
-        bad = parity & (caps < 1.0 - tol)
-        for i in np.flatnonzero(bad):
-            out.append((_row_set(memb, i), float(caps[i]), 1.0))
-    elif kind == "narrow":
-        tau = float(family[1])
-        narrow = separating & (caps < 1.0 + tau)
-        rows = []
-        for i in np.flatnonzero(narrow):
-            side = _row_set(memb, i)
-            if s not in side:
-                side = frozenset(range(n)) - side
-            rows.append((side, float(caps[i]), 1.0 + tau))
-        rows.sort(key=lambda r: (len(r[0]), sorted(r[0])))
-        out = rows
-    else:
-        raise ValueError(f"unknown cut family {kind!r}")
-    return out
-
-
-def _row_set(memb: np.ndarray, i: int) -> frozenset[int]:
-    return frozenset(int(v) for v in np.flatnonzero(memb[i]))
 
 
 def brute_force_matching(

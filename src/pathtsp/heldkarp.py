@@ -143,8 +143,9 @@ def probe_cuts(x: EdgeVector, inst: Instance, vertices: Iterable[int]):
         yield (v, *min_cut_merged(weights, [v], [s, t]))
 
 
-def separate(x: EdgeVector, inst: Instance, tol: float = HK_TOL) -> CutQuery | None:
-    """Most-violated cut constraint, or None if x is cut-feasible.
+def separate(x: EdgeVector, inst: Instance) -> CutQuery | None:
+    """Most-violated cut constraint, or None if x is cut-feasible (every
+    violation at most HK_TOL).
 
     Ties on violation break toward the lexicographically smallest sorted
     vertex set, making the answer deterministic.
@@ -153,14 +154,15 @@ def separate(x: EdgeVector, inst: Instance, tol: float = HK_TOL) -> CutQuery | N
         CutQuery(side, cap, "st" if v is None else "nonseparating")
         for v, cap, side in probe_cuts(x, inst, inst.internal)
     )
-    violated = [q for q in queries if q.violation > tol]
+    violated = [q for q in queries if q.violation > HK_TOL]
     if not violated:
         return None
     return min(violated, key=lambda q: (-q.violation, sorted(q.vertices)))
 
 
-def hk_solve(inst: Instance, tol: float = HK_TOL) -> HKSolution:
-    """Optimal solution of the path-variant Held-Karp relaxation."""
+def hk_solve(inst: Instance) -> HKSolution:
+    """Optimal solution of the path-variant Held-Karp relaxation; a cut
+    row is added when the point violates it by more than HK_TOL."""
     n, s, t = inst.n, inst.s, inst.t
     if n == 2:
         x = EdgeVector({(min(s, t), max(s, t)): 1.0})
@@ -172,7 +174,7 @@ def hk_solve(inst: Instance, tol: float = HK_TOL) -> HKSolution:
         rows = []
         for v, cap, side in probe_cuts(edge_point(edges, z), inst, inst.internal):
             required = 1.0 if v is None else 2.0
-            if required - cap > tol:
+            if required - cap > HK_TOL:
                 rows.append(cut_row(side, edges, m, required))
         return rows
 
@@ -198,8 +200,9 @@ class HKReport:
         return not (self.degree_violations or self.cut_violations or self.negative_entries)
 
 
-def hk_verify(x: EdgeVector, inst: Instance, tol: float = HK_TOL) -> HKReport:
-    """Check degree equalities and cut constraints against x.
+def hk_verify(x: EdgeVector, inst: Instance) -> HKReport:
+    """Check degree equalities and cut constraints against x, each to
+    within HK_TOL.
 
     The cut check is `separate`: it reports one most-violated cut, or none
     when every cut constraint holds. Its flows read negative entries as 0,
@@ -212,9 +215,9 @@ def hk_verify(x: EdgeVector, inst: Instance, tol: float = HK_TOL) -> HKReport:
     want[[inst.s, inst.t]] = 1.0
     deg_bad = [
         (int(v), float(degree[v]), float(want[v]))
-        for v in np.flatnonzero(np.abs(degree - want) > tol)
+        for v in np.flatnonzero(np.abs(degree - want) > HK_TOL)
     ]
-    worst = separate(x, inst, tol)
+    worst = separate(x, inst)
     cut_bad = () if worst is None else ((worst.vertices, worst.capacity, worst.required),)
-    negative = tuple((e, w) for e, w in sorted(x.values.items()) if w < -tol)
+    negative = tuple((e, w) for e, w in sorted(x.values.items()) if w < -HK_TOL)
     return HKReport(tuple(deg_bad), cut_bad, negative)

@@ -361,16 +361,27 @@ def instance_from_dict(data: dict, path: str = "<data>") -> Instance | Graphical
     raise ParseError(f"{path}: unknown instance type {kind!r}")
 
 
+def read_json(path: str) -> dict:
+    """The JSON object stored at path; an unreadable file, text that is not
+    UTF-8 or not JSON, and a top-level value that is not an object raise
+    ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: top-level value must be an object")
+    return raw
+
+
 def read_instance(path: str) -> Instance | GraphicalInstance:
     """Load a metric or graphical instance from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: top-level value must be an object")
-    return instance_from_dict(data, path)
+    return instance_from_dict(read_json(path), path)
 
 
 def write_instance(inst: Instance | GraphicalInstance, path: str) -> None:

@@ -417,16 +417,15 @@ def build_certificate(
     return DominatorCertificate(y, variant, alpha, beta, tau, T)
 
 
-def verify_certificate(
-    cert: DominatorCertificate, inst: Instance, tol: float = FEAS_TOL
-) -> CertificateReport:
-    """Check y(delta(S)) >= 1 on every S with |S cap T| odd.
+def verify_certificate(cert: DominatorCertificate, inst: Instance) -> CertificateReport:
+    """Check y(delta(S)) >= 1 - FEAS_TOL on every S with |S cap T| odd.
 
     The minimum odd cut is the cheapest odd split of a Gomory-Hu tree under
     capacities y (Padberg-Rao); that split is the reported worst cut. The
-    rule needs y >= 0, so a negative entry raises InvalidInstanceError.
+    rule needs y >= 0, so an entry below -FEAS_TOL raises
+    InvalidInstanceError.
     """
-    if any(w < -tol for w in cert.y.values.values()):
+    if any(w < -FEAS_TOL for w in cert.y.values.values()):
         raise InvalidInstanceError("certificate y has a negative entry")
     tset = cert.parity_set.vertices
     cost = cert.y.dot_costs(inst)
@@ -439,7 +438,26 @@ def verify_certificate(
             worst, cut = float(value[v]), side
     if cut is None:
         raise InvariantError("no odd split found despite nonempty T")
-    return CertificateReport(worst >= 1.0 - tol, cut, worst, cost)
+    return CertificateReport(worst >= 1.0 - FEAS_TOL, cut, worst, cost)
+
+
+def tree_certificates(
+    xstar: HKSolution,
+    combo,
+    variant: str,
+    pair_cuts: Mapping[tuple[int, int], float] | None = None,
+) -> list[DominatorCertificate]:
+    """The variant's certificate for every tree of the decomposition, in
+    tree order, sharing one narrow-cut structure and one flow assignment."""
+    _, _, tau = variant_parameters(variant)
+    structure = compute_narrow_cuts(xstar, tau, pair_cuts) if tau > 0.0 else None
+    flows = solve_fractional_disjoint(structure, xstar) if variant == "golden" else None
+    return [
+        build_certificate(
+            xstar, tree, wrong_parity_set(tree, xstar.s, xstar.t), variant, structure, flows
+        )
+        for tree in combo.trees
+    ]
 
 
 @dataclass(frozen=True)
@@ -462,18 +480,10 @@ def certificate_cost_bound(
 ) -> CostBoundReport:
     """Aggregate tree + certificate cost across the decomposition and
     compare with the variant's published guarantee."""
-    alpha, beta, tau = variant_parameters(variant)
-    structure = compute_narrow_cuts(xstar, tau, pair_cuts) if tau > 0.0 else None
-    flows = (
-        solve_fractional_disjoint(structure, xstar)
-        if variant == "golden" and structure is not None
-        else None
-    )
+    certs = tree_certificates(xstar, combo, variant, pair_cuts)
     per_tree = []
     weighted = 0.0
-    for tree, lam in zip(combo.trees, combo.lambdas):
-        T = wrong_parity_set(tree, xstar.s, xstar.t)
-        cert = build_certificate(xstar, tree, T, variant, structure, flows)
+    for tree, lam, cert in zip(combo.trees, combo.lambdas, certs):
         tree_cost = float(sum(inst.cost[u, v] for u, v in tree))
         cert_cost = cert.y.dot_costs(inst)
         per_tree.append((tree_cost, cert_cost))

@@ -82,13 +82,14 @@ class PCLPSolution:
         return self.x.dot_costs(inst)
 
 
-def pc_lp_solve(pc: PCInstance, tol: float = PC_TOL) -> PCLPSolution:
+def pc_lp_solve(pc: PCInstance) -> PCLPSolution:
     """Solve the prize-collecting LP by row generation.
 
-    Separation: (a) a min s-t cut below 1 adds an s-t cut row; (b) for each
-    internal v with y_v above tol, a min cut between v and the merged
-    endpoint pair below 2*y_v adds the row x(delta(S)) - 2*y_v >= 0. The
-    per-vertex probe is exact for the whole family.
+    Separation: (a) a min s-t cut below 1 - PC_TOL adds an s-t cut row; (b)
+    for each internal v with y_v above PC_TOL, a min cut between v and the
+    merged endpoint pair below 2*y_v - PC_TOL adds the row
+    x(delta(S)) - 2*y_v >= 0. The per-vertex probe is exact for the whole
+    family.
     """
     inst = pc.inst
     n = inst.n
@@ -100,12 +101,12 @@ def pc_lp_solve(pc: PCInstance, tol: float = PC_TOL) -> PCLPSolution:
 
     def violated(z):
         y = {v: z[ycol[v]] for v in internal}
-        probes = probe_cuts(edge_point(edges, z), inst, [v for v in internal if y[v] > tol])
+        probes = probe_cuts(edge_point(edges, z), inst, [v for v in internal if y[v] > PC_TOL])
         rows = []
         for v, cap, side in probes:
-            if v is None and cap < 1.0 - tol:
+            if v is None and cap < 1.0 - PC_TOL:
                 rows.append(cut_row(side, edges, width, 1.0))
-            elif v is not None and cap < 2.0 * y[v] - tol:
+            elif v is not None and cap < 2.0 * y[v] - PC_TOL:
                 rows.append(cut_row(side, edges, width, 0.0, ycol[v]))
         return rows
 
@@ -188,7 +189,6 @@ def pc_solve(
     pc: PCInstance,
     rho: float = GOLDEN_RATIO,
     oracle: Callable[[PCInstance], tuple[tuple[int, ...], float]] | None = None,
-    tol: float = PC_TOL,
 ) -> PCResult:
     """Exactly derandomized combination of the oracle and threshold rounding.
 
@@ -201,7 +201,7 @@ def pc_solve(
     if not (1.5 <= rho < 2.0):
         raise InvalidInstanceError(f"rho must lie in [1.5, 2), got {rho}")
     inst = pc.inst
-    pclp = pc_lp_solve(pc, tol)
+    pclp = pc_lp_solve(pc)
     cx = pclp.edge_cost_part(inst)
     missed_lp = pclp.value - cx  # pi(1 - y*)
     scale = max(1.0, pclp.value)

@@ -6,7 +6,8 @@ shortcut it -- keep the cheapest resulting path. The derandomized guarantee
 is golden ratio times the LP value; the weighted average over the
 decomposition already satisfies it, and the minimum can only be better.
 
-solve_hoogeveen: same augmentation applied to the minimum spanning tree only.
+solve_hoogeveen: the same augment-and-pick loop on the minimum spanning tree
+alone, with weight 1.
 """
 
 from __future__ import annotations
@@ -66,16 +67,29 @@ def solve_bom(
     """Derandomized best-of-many pipeline. Precomputed LP/decomposition
     artifacts can be passed in to avoid recomputation."""
     require_metric(inst)
-    if inst.n == 2:
-        hk = hk or hk_solve(inst)
-        order = (inst.s, inst.t)
-        c = inst.c(inst.s, inst.t)
-        return PathSolution(order, c, ((0, c, 0.0, c),), 0, hk.value, (1.0,))
     hk = hk or hk_solve(inst)
     combo = combo or decompose(hk)
+    return _best_augmented(inst, combo.trees, combo.lambdas, hk.value)
+
+
+def minimum_spanning_tree(inst: Instance) -> frozenset[tuple[int, int]]:
+    weights = EdgeVector({e: -inst.cost[e[0], e[1]] for e in all_edges(inst.n)})
+    return max_weight_spanning_tree(inst.n, weights)
+
+
+def solve_hoogeveen(inst: Instance, hk: HKSolution | None = None) -> PathSolution:
+    """Single-tree baseline: augment the minimum spanning tree."""
+    require_metric(inst)
+    hk = hk or hk_solve(inst)
+    return _best_augmented(inst, (minimum_spanning_tree(inst),), (1.0,), hk.value)
+
+
+def _best_augmented(inst: Instance, trees, lambdas, hk_value: float) -> PathSolution:
+    """Augment every tree and keep the cheapest path; the first tree wins
+    ties."""
     per_tree = []
     best_idx, best_cost, best_order = -1, math.inf, None
-    for i, tree in enumerate(combo.trees):
+    for i, tree in enumerate(trees):
         tree_cost = float(sum(inst.cost[u, v] for u, v in tree))
         order, join_cost, path_cost = augment_tree(inst, tree)
         per_tree.append((i, tree_cost, join_cost, path_cost))
@@ -86,34 +100,8 @@ def solve_bom(
         best_cost,
         tuple(per_tree),
         best_idx,
-        hk.value,
-        tuple(combo.lambdas),
-    )
-
-
-def minimum_spanning_tree(inst: Instance) -> frozenset[tuple[int, int]]:
-    weights = EdgeVector({e: -inst.cost[e[0], e[1]] for e in all_edges(inst.n)})
-    return max_weight_spanning_tree(inst.n, weights, restrict_to_support=False)
-
-
-def solve_hoogeveen(inst: Instance, hk: HKSolution | None = None) -> PathSolution:
-    """Single-tree baseline: augment the minimum spanning tree."""
-    require_metric(inst)
-    hk = hk or hk_solve(inst)
-    if inst.n == 2:
-        order = (inst.s, inst.t)
-        c = inst.c(inst.s, inst.t)
-        return PathSolution(order, c, ((0, c, 0.0, c),), 0, hk.value, (1.0,))
-    mst = minimum_spanning_tree(inst)
-    mst_cost = float(sum(inst.cost[u, v] for u, v in mst))
-    order, join_cost, path_cost = augment_tree(inst, mst)
-    return PathSolution(
-        tuple(order),
-        path_cost,
-        ((0, mst_cost, join_cost, path_cost),),
-        0,
-        hk.value,
-        (1.0,),
+        hk_value,
+        tuple(lambdas),
     )
 
 
@@ -143,11 +131,6 @@ def baseline_bounds_check(inst: Instance, hk: HKSolution) -> BaselineBounds:
     """
     slack = RATIO_SLACK * max(1.0, hk.value)
     cst = inst.c(inst.s, inst.t)
-    if inst.n == 2:
-        return BaselineBounds(
-            cst, 0.0, 0.0, hk.value, (hk.value + cst) / 2, hk.value - cst,
-            True, True, True,
-        )
     mst = minimum_spanning_tree(inst)
     mst_cost = float(sum(inst.cost[u, v] for u, v in mst))
     T = wrong_parity_set(mst, inst.s, inst.t)

@@ -49,7 +49,6 @@ class ParitySet:
 class JoinResult:
     edges: tuple[tuple[int, int], ...]
     cost: float
-    matching: tuple[tuple[int, int], ...]
 
 
 def tree_degrees(tree: Iterable[tuple[int, int]]) -> dict[int, int]:
@@ -95,7 +94,7 @@ def wrong_parity_set(tree: Iterable[tuple[int, int]], s: int, t: int) -> ParityS
 def min_weight_perfect_matching(
     points: Iterable[int], costs
 ) -> tuple[tuple[tuple[int, int], ...], float]:
-    """Minimum-cost perfect matching on `points` under a cost matrix/callable.
+    """Minimum-cost perfect matching on `points` under a cost matrix.
 
     Backed by the blossom algorithm; for point sets of size <= 10 the result
     is certified against the exhaustive pairing minimum.
@@ -105,11 +104,8 @@ def min_weight_perfect_matching(
         raise InvalidInstanceError(f"cannot pair an odd set of {len(pts)} points")
     if not pts:
         return (), 0.0
-    if callable(costs):
-        cost = costs
-    else:
-        matrix = np.asarray(costs, dtype=float)
-        cost = lambda u, v: float(matrix[u, v])  # noqa: E731
+    matrix = np.asarray(costs, dtype=float)
+    cost = lambda u, v: float(matrix[u, v])  # noqa: E731
     graph = nx.Graph()
     graph.add_nodes_from(pts)
     for i, u in enumerate(pts):
@@ -132,13 +128,13 @@ def min_weight_perfect_matching(
 def min_tjoin(inst: Instance, T: ParitySet) -> JoinResult:
     """Minimum T-join of a complete metric instance (matching on T)."""
     if len(T) == 0:
-        return JoinResult((), 0.0, ())
+        return JoinResult((), 0.0)
     pairs, total = min_weight_perfect_matching(T.vertices, inst.cost)
     deg = tree_degrees(pairs)
     odd = {v for v, d in deg.items() if d % 2 == 1}
     if odd != set(T.vertices):
         raise InvariantError("join parity does not match T")
-    return JoinResult(pairs, total, pairs)
+    return JoinResult(pairs, total)
 
 
 def eulerian_path(

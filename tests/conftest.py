@@ -3,7 +3,7 @@
 The oracles here (BFS distances, Edmonds-Karp flow, the permutation-scan
 path optimum, Pruefer enumeration of spanning trees, the per-mask loop
 versions of the exact subset DPs, the narrow-cut layers by the all-pairs
-precedence rule) are deliberately
+precedence rule, the exhaustive cut scan) are deliberately
 written against different primitives than the package so that agreement
 is meaningful. The dense push-relabel and residual BFS are the reference
 that the package's flow engine must replay operation for operation.
@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from pathtsp.errors import SizeLimitError
-from pathtsp.exact import ExactResult
-from pathtsp.instances import GraphicalInstance, Instance
+from pathtsp.exact import ExactResult, all_cut_capacities
+from pathtsp.instances import EdgeVector, GraphicalInstance, Instance
 from pathtsp.maxflow import RESIDUAL_EPS
 
 
@@ -206,6 +206,58 @@ def narrow_layers_by_pairs(xstar, tau: float, pair_cuts) -> tuple[tuple, tuple]:
     weights = xstar.x.to_matrix(n)
     prefixes = itertools.accumulate(layers[:-1], lambda acc, layer: acc + layer)
     return layers, tuple(cut_value(weights, list(p)) for p in prefixes)
+
+
+def enumerate_cut_check(
+    vector: EdgeVector,
+    inst: Instance,
+    family,
+    tol: float = 1e-7,
+) -> list[tuple[frozenset[int], float, float]]:
+    """Exhaustive cut scan; ground truth for the flow-based routines.
+
+    family is ("hk",), ("tjoin", T) or ("narrow", tau). For hk/tjoin the
+    result lists violations (set, capacity, required bound); for narrow it
+    lists the tau-narrow s-t cuts themselves as (U with s inside, capacity,
+    1+tau), sorted by |U|.
+    """
+    n = inst.n
+    memb, caps = all_cut_capacities(vector, n)
+    s, t = inst.s, inst.t
+    separating = memb[:, s] != memb[:, t]
+    kind = family[0]
+    out: list[tuple[frozenset[int], float, float]] = []
+    if kind == "hk":
+        required = np.where(separating, 1.0, 2.0)
+        bad = caps < required - tol
+        for i in np.flatnonzero(bad):
+            out.append((_row_set(memb, i), float(caps[i]), float(required[i])))
+    elif kind == "tjoin":
+        tset = sorted(family[1])
+        if not tset:
+            return []
+        parity = memb[:, tset].sum(axis=1) % 2 == 1
+        bad = parity & (caps < 1.0 - tol)
+        for i in np.flatnonzero(bad):
+            out.append((_row_set(memb, i), float(caps[i]), 1.0))
+    elif kind == "narrow":
+        tau = float(family[1])
+        narrow = separating & (caps < 1.0 + tau)
+        rows = []
+        for i in np.flatnonzero(narrow):
+            side = _row_set(memb, i)
+            if s not in side:
+                side = frozenset(range(n)) - side
+            rows.append((side, float(caps[i]), 1.0 + tau))
+        rows.sort(key=lambda r: (len(r[0]), sorted(r[0])))
+        out = rows
+    else:
+        raise ValueError(f"unknown cut family {kind!r}")
+    return out
+
+
+def _row_set(memb: np.ndarray, i: int) -> frozenset[int]:
+    return frozenset(int(v) for v in np.flatnonzero(memb[i]))
 
 
 def metric_report_loop(cost: np.ndarray, tol: float) -> list[tuple]:

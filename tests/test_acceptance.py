@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
+from conftest import enumerate_cut_check, random_connected_graph
 from pathtsp.decompose import decompose
-from pathtsp.exact import brute_force_matching, enumerate_cut_check, exact_path_tsp, exact_pc_path
+from pathtsp.exact import brute_force_matching, exact_path_tsp, exact_pc_path
 from pathtsp.graphical import (
     GAP_CONSTANTS,
     RATIO_CONSTANTS,

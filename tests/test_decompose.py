@@ -4,10 +4,16 @@ import pytest
 from conftest import all_spanning_trees, hamiltonian_path_instance
 from pathtsp.decompose import decompose, max_weight_spanning_tree, verify_combination
 from pathtsp.errors import NotConnectedError
-from pathtsp.heldkarp import hk_solve
+from pathtsp.heldkarp import HKSolution, hk_solve
 from pathtsp.instances import EdgeVector, all_edges, generate_random_metric
 
 FRACTIONAL_SEEDS = [(26, 12), (44, 12), (52, 11), (59, 9), (105, 10)]
+
+
+def path_point(inst, path_edges) -> HKSolution:
+    """The integral Held-Karp point of a Hamiltonian s-t path."""
+    x = EdgeVector.from_edges(path_edges)
+    return HKSolution(x, x.dot_costs(inst), 0, inst.n, inst.s, inst.t)
 
 
 def test_mst_on_support_of_forced_triangle(unit_triangle):
@@ -17,7 +23,7 @@ def test_mst_on_support_of_forced_triangle(unit_triangle):
 
 def test_mst_tie_break_is_lexicographic():
     ev = EdgeVector({e: 1.0 for e in all_edges(4)})
-    assert max_weight_spanning_tree(4, ev, restrict_to_support=False) == frozenset(
+    assert max_weight_spanning_tree(4, ev) == frozenset(
         {(0, 1), (0, 2), (0, 3)}
     )
 
@@ -26,7 +32,7 @@ def test_mst_matches_cayley_enumeration():
     rng = np.random.default_rng(8)
     for _ in range(6):
         ev = EdgeVector({e: float(rng.normal()) for e in all_edges(5)})
-        tree = max_weight_spanning_tree(5, ev, restrict_to_support=False)
+        tree = max_weight_spanning_tree(5, ev)
         got = sum(ev.get(*e) for e in tree)
         best = max(
             sum(ev.get(*e) for e in t) for t in all_spanning_trees(5)
@@ -42,8 +48,7 @@ def test_mst_disconnected_support_raises():
 
 def test_integral_point_gives_single_tree():
     inst, path_edges = hamiltonian_path_instance(7, 1)
-    x = EdgeVector.from_edges(path_edges)
-    combo = decompose(x, n=7)
+    combo = decompose(path_point(inst, path_edges))
     assert len(combo.trees) == 1
     assert combo.lambdas == (1.0,)
     assert combo.trees[0] == frozenset(path_edges)
@@ -54,7 +59,8 @@ def test_half_half_combination_recovered():
     t1 = frozenset({(0, 1), (1, 2), (2, 3)})
     t2 = frozenset({(0, 2), (1, 3), (0, 3)})
     x = EdgeVector.from_edges(t1, 0.5).add(EdgeVector.from_edges(t2), 0.5)
-    combo = decompose(x, n=4)
+    # decompose reads only x and n of the point
+    combo = decompose(HKSolution(x, 0.0, 0, 4, 0, 3))
     assert combo.residual <= 1e-6
     assert sum(combo.lambdas) == pytest.approx(1.0, abs=1e-9)
     combined = EdgeVector()
@@ -110,13 +116,13 @@ def test_verify_rejects_halved_lambdas():
 
 def test_verify_rejects_off_support_edge():
     inst, path_edges = hamiltonian_path_instance(6, 2)
-    x = EdgeVector.from_edges(path_edges)
-    combo = decompose(x, n=6)
+    hk = path_point(inst, path_edges)
+    combo = decompose(hk)
     tree = set(combo.trees[0])
     tree.discard((0, 1))
     tree.add((0, 5) if (0, 5) not in tree else (0, 4))
     broken = type(combo)(
         trees=(frozenset(tree),), lambdas=(1.0,), residual=combo.residual
     )
-    ok, _ = verify_combination(x, broken)
+    ok, _ = verify_combination(hk, broken)
     assert not ok

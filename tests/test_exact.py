@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     brute_force_path_scan,
+    enumerate_cut_check,
     exact_path_tsp_loop,
     exact_pc_path_loop,
     random_connected_graph,
@@ -15,7 +16,6 @@ from pathtsp.exact import (
     PATH_TSP_CAP,
     all_cut_capacities,
     brute_force_matching,
-    enumerate_cut_check,
     exact_path_tsp,
     exact_pc_path,
 )
@@ -142,7 +142,7 @@ def test_pc_matches_double_exhaustive():
 def test_cut_enumeration_size_cap_refused():
     n = CUT_ENUM_CAP + 1
     with pytest.raises(SizeLimitError, match=str(CUT_ENUM_CAP)):
-        all_cut_capacities(np.zeros((n, n)), n)
+        all_cut_capacities(EdgeVector(), n)
     with pytest.raises(SizeLimitError, match=str(CUT_ENUM_CAP)):
         enumerate_cut_check(EdgeVector(), generate_random_metric(n, 0), ("hk",))
 

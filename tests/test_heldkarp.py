@@ -18,8 +18,6 @@ from pathtsp.instances import (
 from pathtsp.prize import PCInstance, pc_lp_solve
 from pathtsp.simplex import LinearProgram, simplex_solve
 
-TOL = 1e-7
-
 
 def test_separation_accepts_hamiltonian_path():
     inst, path_edges = hamiltonian_path_instance(6, 3)
@@ -45,8 +43,8 @@ def test_separation_matches_enumeration_on_random_vectors():
         separating = memb[:, inst.s] != memb[:, inst.t]
         required = np.where(separating, 1.0, 2.0)
         worst = float((required - caps).max())
-        got = separate(x, inst, TOL)
-        if worst <= TOL:
+        got = separate(x, inst)
+        if worst <= HK_TOL:
             assert got is None
         else:
             assert got is not None
@@ -68,8 +66,8 @@ def test_verify_flow_branch_matches_enumeration_above_cap(n):
         separating = memb[:, inst.s] != memb[:, inst.t]
         required = np.where(separating, 1.0, 2.0)
         worst = float((required - caps).max())
-        report = hk_verify(x, inst, TOL)
-        if worst <= TOL:
+        report = hk_verify(x, inst)
+        if worst <= HK_TOL:
             assert report.cut_violations == ()
             continue
         ((side, cap, req),) = report.cut_violations
@@ -149,7 +147,7 @@ def test_hk_degree_equalities_and_verify():
         degree[v] += w
     for v in range(inst.n):
         want = 1.0 if v in (inst.s, inst.t) else 2.0
-        assert degree[v] == pytest.approx(want, abs=TOL)
+        assert degree[v] == pytest.approx(want, abs=HK_TOL)
     assert hk_verify(hk.x, inst).ok
 
 

@@ -173,6 +173,20 @@ def test_io_missing_field_names_it(tmp_path):
         read_instance(str(p))
 
 
+UNREADABLE = {"not_utf8": "not UTF-8 text", "missing": "No such file", "directory": "Is a directory"}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_io_unreadable_file_raises_parse_error(tmp_path, case):
+    p = tmp_path / "inst.json"
+    if case == "not_utf8":
+        p.write_bytes(b'{"type": "metric", \xff\xfe}')
+    elif case == "directory":
+        p = tmp_path
+    with pytest.raises(ParseError, match=UNREADABLE[case]):
+        read_instance(str(p))
+
+
 def test_io_graphical_five_cycle(tmp_path, five_cycle):
     p = tmp_path / "cycle.json"
     write_instance(five_cycle, str(p))

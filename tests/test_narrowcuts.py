@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     edmonds_karp,
+    enumerate_cut_check,
     forced_cuts_eager,
     hamiltonian_path_instance,
     narrow_layers_by_pairs,
@@ -12,7 +13,7 @@ from conftest import (
 from pathtsp import maxflow, narrowcuts
 from pathtsp.decompose import decompose
 from pathtsp.errors import InvalidInstanceError, InvariantError
-from pathtsp.exact import all_cut_capacities, enumerate_cut_check
+from pathtsp.exact import all_cut_capacities
 from pathtsp.heldkarp import HKSolution, hk_solve
 from pathtsp.instances import EdgeVector, generate_random_metric
 from pathtsp.narrowcuts import (

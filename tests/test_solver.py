@@ -1,25 +1,35 @@
 import numpy as np
 import pytest
 
+from pathtsp.decompose import TreeCombination, decompose
 from pathtsp.exact import exact_path_tsp
 from pathtsp.errors import InvalidInstanceError
 from pathtsp.heldkarp import hk_solve
 from pathtsp.instances import Instance, generate_random_metric
 from pathtsp.solver import (
     GOLDEN_RATIO,
+    BaselineBounds,
+    PathSolution,
     baseline_bounds_check,
     solve_bom,
     solve_hoogeveen,
 )
 
 FIVE_THIRDS = 5.0 / 3.0
+# (s, c(s, t)) on K_2, with t the other vertex
+TWO_VERTICES = [(s, c) for s in (0, 1) for c in (0.0, 2.0, 1e-8)]
 
 
-def test_bom_two_vertices():
-    inst = Instance(cost=np.array([[0.0, 2.0], [2.0, 0.0]]), s=0, t=1)
-    sol = solve_bom(inst)
-    assert sol.order == (0, 1)
-    assert sol.cost == 2.0 and sol.hk_value == 2.0
+def two_vertex_instance(s: int, c: float) -> Instance:
+    return Instance(cost=np.array([[0.0, c], [c, 0.0]]), s=s, t=1 - s)
+
+
+@pytest.mark.parametrize("solve", [solve_bom, solve_hoogeveen], ids=["bom", "hoogeveen"])
+@pytest.mark.parametrize("s,c", TWO_VERTICES)
+def test_bom_two_vertices(solve, s, c):
+    inst = two_vertex_instance(s, c)
+    assert decompose(hk_solve(inst)) == TreeCombination((frozenset({(0, 1)}),), (1.0,), 0.0)
+    assert solve(inst) == PathSolution((s, 1 - s), c, ((0, c, 0.0, c),), 0, c, (1.0,))
 
 
 def test_bom_unit_triangle(unit_triangle):
@@ -97,10 +107,11 @@ def test_baseline_bounds_forced_path_mst():
     assert rep.all_hold
 
 
-def test_baseline_bounds_two_vertices():
-    inst = Instance(cost=np.array([[0.0, 1.0], [1.0, 0.0]]), s=0, t=1)
+@pytest.mark.parametrize("s,c", TWO_VERTICES)
+def test_baseline_bounds_two_vertices(s, c):
+    inst = two_vertex_instance(s, c)
     rep = baseline_bounds_check(inst, hk_solve(inst))
-    assert rep.join_cost == 0.0 and rep.all_hold
+    assert rep == BaselineBounds(c, 0.0, 0.0, c, c, 0.0, True, True, True)
 
 
 def test_baseline_bounds_random_sample():

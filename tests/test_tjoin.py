@@ -61,14 +61,14 @@ def test_wrong_parity_set_always_even(seed):
 
 
 def test_matching_two_points():
-    pairs, cost = min_weight_perfect_matching([3, 5], lambda u, v: 7.0)
+    pairs, cost = min_weight_perfect_matching([3, 5], np.full((6, 6), 7.0))
     assert pairs == ((3, 5),) and cost == 7.0
 
 
 def test_matching_line_example():
-    coords = {0: 0.0, 1: 1.0, 2: 10.0, 3: 11.0}
+    coords = np.array([0.0, 1.0, 10.0, 11.0])
     pairs, cost = min_weight_perfect_matching(
-        [0, 1, 2, 3], lambda u, v: abs(coords[u] - coords[v])
+        [0, 1, 2, 3], np.abs(coords[:, None] - coords[None, :])
     )
     assert set(pairs) == {(0, 1), (2, 3)}
     assert cost == 2.0
@@ -76,7 +76,7 @@ def test_matching_line_example():
 
 def test_matching_odd_set_rejected():
     with pytest.raises(InvalidInstanceError):
-        min_weight_perfect_matching([1, 2, 3], lambda u, v: 1.0)
+        min_weight_perfect_matching([1, 2, 3], np.ones((4, 4)))
 
 
 def test_matching_eight_points_matches_exhaustive():
