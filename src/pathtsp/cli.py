@@ -1,6 +1,6 @@
 """Command-line surface. Machine-readable JSON goes to stdout, diagnostics
 to stderr. Exit codes: 0 success, 1 usage error, 2 infeasible or invalid
-input, 3 internal invariant failure."""
+input or an unwritable --output path, 3 internal invariant failure."""
 
 from __future__ import annotations
 
@@ -155,7 +155,7 @@ def _run(args: argparse.Namespace) -> dict | None:
             ],
         }
         if report:
-            raise _InvalidReport(payload)
+            raise _FailedCheck(payload, "invalid instance", INPUT_ERROR)
         return payload
 
     if args.command == "graphical":
@@ -227,22 +227,19 @@ def _run(args: argparse.Namespace) -> dict | None:
             certs.append(certificate_to_dict(cert, report))
         payload = {"all_feasible": bool(all_feasible), "certificates": certs}
         if not all_feasible:
-            raise _InfeasibleCertificates(payload)
+            raise _FailedCheck(payload, "certificate infeasible", INVARIANT_ERROR)
         return payload
 
     raise _UsageError(f"unknown command {args.command}")
 
 
-class _InvalidReport(Exception):
-    def __init__(self, payload):
-        super().__init__("instance invalid")
-        self.payload = payload
+class _FailedCheck(Exception):
+    """A check failed: its payload is still written, then main prints the
+    message and exits with code."""
 
-
-class _InfeasibleCertificates(Exception):
-    def __init__(self, payload):
-        super().__init__("certificate verification failed")
-        self.payload = payload
+    def __init__(self, payload: dict, message: str, code: int):
+        super().__init__(message)
+        self.payload, self.code = payload, code
 
 
 def main(argv=None) -> int:
@@ -254,26 +251,26 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        payload = _run(args)
+        failure = None
+        try:
+            payload = _run(args)
+        except _FailedCheck as exc:
+            payload, failure = exc.payload, exc
+        if payload is not None:
+            _emit(payload, args.output)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except _InvalidReport as exc:
-        _emit(exc.payload, args.output)
-        print("invalid instance", file=sys.stderr)
-        return INPUT_ERROR
-    except _InfeasibleCertificates as exc:
-        _emit(exc.payload, args.output)
-        print("certificate infeasible", file=sys.stderr)
-        return INVARIANT_ERROR
-    except (ParseError, InvalidInstanceError, NotConnectedError, SizeLimitError) as exc:
+    # OSError: an --output path that cannot be written
+    except (ParseError, InvalidInstanceError, NotConnectedError, SizeLimitError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return INVARIANT_ERROR
-    if payload is not None:
-        _emit(payload, args.output)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return failure.code
     if args.verbose:
         print(f"{args.command}: ok", file=sys.stderr)
     return 0

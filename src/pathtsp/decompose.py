@@ -29,6 +29,10 @@ class TreeCombination:
     lambdas: tuple[float, ...]
     residual: float
 
+    def __post_init__(self):
+        if len(self.trees) != len(self.lambdas):
+            raise ValueError(f"{len(self.trees)} trees but {len(self.lambdas)} lambdas")
+
     def to_dict(self) -> dict:
         return {
             "lambdas": list(self.lambdas),

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvariantError, IterationLimitError
 from .instances import EdgeVector, Instance, all_edges
 from .maxflow import min_cut_merged
-from .simplex import LinearProgram, SimplexResult, simplex_solve
+from .simplex import LinearProgram, SimplexResult, certify_value, simplex_solve
 
 HK_TOL = 1e-7
 
@@ -71,7 +71,8 @@ def row_generation(
     Each round solves the LP and asks ``violated(z)`` for the rows its
     optimum z breaks, as (row, rhs) pairs like `cut_row` builds; those not
     added in an earlier round are appended to the matrix.
-    Returns the optimal result and the round count once nothing is violated.
+    Returns the optimal result, its value checked by `certify_value`, and
+    the round count once nothing is violated; earlier rounds only pick cuts.
     A round whose violated rows are all in the LP already means the LP and
     the separation disagree, and raises instead of returning z.
     """
@@ -80,11 +81,13 @@ def row_generation(
     added: set[tuple[bytes, float]] = set()
     res = None
     for rounds in range(1, cap_rounds + 1):
-        res = simplex_solve(LinearProgram(objective, rows, rhs, n_eq, bounds))
+        lp = LinearProgram(objective, rows, rhs, n_eq, bounds)
+        res = simplex_solve(lp)
         if res.status != "optimal":
             raise InvariantError(f"{what} LP came back {res.status}")
         cuts = violated(res.x)
         if not cuts:
+            certify_value(lp, res)
             return res, rounds
         new = [(row, b) for row, b in cuts if (row.tobytes(), b) not in added]
         if not new:

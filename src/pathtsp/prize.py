@@ -20,11 +20,10 @@ import numpy as np
 
 from .errors import InvalidInstanceError, InvariantError, SizeLimitError
 from .exact import exact_pc_path
-from .heldkarp import cut_row, degree_rows, edge_point, probe_cuts, row_generation
+from .heldkarp import HK_TOL, cut_row, degree_rows, edge_point, probe_cuts, row_generation
 from .instances import EdgeVector, Instance, all_edges, is_number
 from .solver import GOLDEN_RATIO, solve_bom
 
-PC_TOL = 1e-7
 PD_ORACLE_CAP = 15
 
 
@@ -85,9 +84,9 @@ class PCLPSolution:
 def pc_lp_solve(pc: PCInstance) -> PCLPSolution:
     """Solve the prize-collecting LP by row generation.
 
-    Separation: (a) a min s-t cut below 1 - PC_TOL adds an s-t cut row; (b)
-    for each internal v with y_v above PC_TOL, a min cut between v and the
-    merged endpoint pair below 2*y_v - PC_TOL adds the row
+    Separation: (a) a min s-t cut below 1 - HK_TOL adds an s-t cut row; (b)
+    for each internal v with y_v above HK_TOL, a min cut between v and the
+    merged endpoint pair below 2*y_v - HK_TOL adds the row
     x(delta(S)) - 2*y_v >= 0. The per-vertex probe is exact for the whole
     family.
     """
@@ -101,12 +100,12 @@ def pc_lp_solve(pc: PCInstance) -> PCLPSolution:
 
     def violated(z):
         y = {v: z[ycol[v]] for v in internal}
-        probes = probe_cuts(edge_point(edges, z), inst, [v for v in internal if y[v] > PC_TOL])
+        probes = probe_cuts(edge_point(edges, z), inst, [v for v in internal if y[v] > HK_TOL])
         rows = []
         for v, cap, side in probes:
-            if v is None and cap < 1.0 - PC_TOL:
+            if v is None and cap < 1.0 - HK_TOL:
                 rows.append(cut_row(side, edges, width, 1.0))
-            elif v is not None and cap < 2.0 * y[v] - PC_TOL:
+            elif v is not None and cap < 2.0 * y[v] - HK_TOL:
                 rows.append(cut_row(side, edges, width, 0.0, ycol[v]))
         return rows
 

@@ -31,7 +31,11 @@ class PathSolution:
     per_tree: tuple[tuple[int, float, float, float], ...]  # (idx, tree, join, path)
     chosen_tree: int
     hk_value: float
-    lambdas: tuple[float, ...] = ()
+    lambdas: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.lambdas) != len(self.per_tree):
+            raise ValueError(f"{len(self.lambdas)} lambdas but {len(self.per_tree)} trees")
 
     @property
     def weighted_average(self) -> float:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import pathtsp
 from pathtsp.cli import main
-from pathtsp.instances import Instance, write_instance
+from pathtsp.instances import Instance, generate_random_metric, write_instance
 
 
 def run(capsys, *argv):
@@ -243,6 +243,33 @@ def test_output_flag_writes_file(tmp_path, capsys, unit_triangle_file):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["hk", "gen", "validate"])
+def test_unwritable_output_exits_two(tmp_path, capsys, command):
+    """A result, a generated instance and a failed validation report that
+    cannot be written each end in exit 2 and one line, not a traceback."""
+    instance = tmp_path / "m.json"
+    write_instance(Instance(cost=np.ones((3, 3)) - np.eye(3), s=0, t=1), str(instance))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "metric", "n": 3, "s": 0, "t": 2, "costs": [1.0, 3.0, 1.0]}))
+    args = {"hk": [str(instance)], "gen": ["--n", "5"], "validate": [str(bad)]}[command]
+    out = tmp_path / "missing" / "out.json"
+    code, payload, err = run(capsys, command, *args, "--output", str(out))
+    assert code == 2 and payload is None
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert not out.parent.exists()
+
+
+def test_uncertified_lp_value_exits_three(tmp_path, capsys):
+    """At costs of 1e-8 HiGHS returns 4.00e-8 for an LP whose value is
+    2.57e-8; the value certificate refuses it instead of printing it."""
+    inst = generate_random_metric(9, 3)
+    path = tmp_path / "tiny.json"
+    write_instance(Instance(cost=inst.cost * 1e-8, s=inst.s, t=inst.t), str(path))
+    code, payload, err = run(capsys, "hk", str(path))
+    assert code == 3 and payload is None
+    assert err.startswith("invariant failure: ") and err.count("\n") == 1, err
+
+
 _numbers = st.one_of(st.integers(-3, 10), st.floats(), st.booleans())
 _junk = st.one_of(
     st.none(), st.text(max_size=3), _numbers, st.lists(st.integers(-1, 9), max_size=3)
@@ -294,17 +321,22 @@ def _instance_objects(draw):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(data=_instance_objects())
-@example(data={"type": "graph", "n": 3, "s": 0, "t": 1, "edges": [[math.inf, 1]]})
+@given(data=_instance_objects(), unwritable=st.booleans())
+@example(data={"type": "graph", "n": 3, "s": 0, "t": 1, "edges": [[math.inf, 1]]}, unwritable=False)
 @example(
-    data={"type": "metric", "n": 4, "s": 0, "t": 1, "costs": [1.0] * 6, "prizes": [math.nan, 0.1]}
+    data={"type": "metric", "n": 4, "s": 0, "t": 1, "costs": [1.0] * 6, "prizes": [math.nan, 0.1]},
+    unwritable=False,
 )
-def test_fuzzed_instances_exit_cleanly(tmp_path_factory, data):
+@example(data={"type": "metric", "n": 3, "s": 0, "t": 1, "costs": [1.0] * 3}, unwritable=True)
+def test_fuzzed_instances_exit_cleanly(tmp_path_factory, data, unwritable):
     """Any JSON value, run through every instance-reading command, ends in
-    one of the documented exit codes without an exception escaping."""
+    one of the documented exit codes without an exception escaping, also
+    when --output names a path in a directory that does not exist."""
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(data))
+    output = ["--output", str(path.parent / "missing" / "out.json")] if unwritable else []
     for command in ("validate", "hk", "solve", "exact", "pc", "decompose", "graphical"):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, str(path)])
+            code = main([command, str(path), *output])
         assert code in (0, 1, 2, 3), (command, data, code)
+        assert not unwritable or code != 0, (command, data)

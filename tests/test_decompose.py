@@ -114,6 +114,15 @@ def test_verify_rejects_halved_lambdas():
     assert deviation == pytest.approx(peak / 2, abs=0.2 * peak)
 
 
+def test_combination_refuses_a_tree_without_a_lambda():
+    """verify_combination zips trees with lambdas, so a second tree with no
+    lambda would go unchecked; the combination itself refuses it."""
+    hk = hk_solve(generate_random_metric(8, 26))
+    combo = decompose(hk)
+    with pytest.raises(ValueError, match="2 trees but 1 lambdas"):
+        verify_combination(hk, type(combo)(combo.trees * 2, combo.lambdas, combo.residual))
+
+
 def test_verify_rejects_off_support_edge():
     inst, path_edges = hamiltonian_path_instance(6, 2)
     hk = path_point(inst, path_edges)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,28 @@ def test_hk_value_scales_with_costs():
     doubled = Instance(cost=2.0 * inst.cost, s=inst.s, t=inst.t)
     a, b = hk_solve(inst), hk_solve(doubled)
     assert b.value == pytest.approx(2.0 * a.value, rel=1e-6)
+
+
+@functools.cache
+def _unscaled_hk_value(seed):
+    return hk_solve(generate_random_metric(9, seed)).value
+
+
+@pytest.mark.parametrize("factor", [1e-8, 1e-6, 1e-4, 1e-2, 1e3, 1e9])
+@pytest.mark.parametrize("seed", range(20))
+def test_hk_value_is_right_or_refused_at_any_cost_scale(seed, factor):
+    """Scaling the costs scales the LP value. At 1e-6 and below HiGHS's own
+    absolute tolerances swallow the costs, and the values it returns there
+    can be twice the right one; the value certificate must refuse those
+    rather than return them."""
+    inst = generate_random_metric(9, seed)
+    scaled = Instance(cost=inst.cost * factor, s=inst.s, t=inst.t)
+    try:
+        value = hk_solve(scaled).value
+    except InvariantError:
+        assert factor <= 1e-6
+        return
+    assert value == pytest.approx(factor * _unscaled_hk_value(seed), rel=1e-9)
 
 
 def test_hk_lower_bounds_exact_optimum():

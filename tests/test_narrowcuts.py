@@ -454,6 +454,18 @@ def test_cost_bounds_hold(variant):
         assert rep.weighted_total <= GUARANTEE[variant] * hk.value * (1 + 1e-6)
 
 
+def test_cost_bound_refuses_a_combination_cut_to_one_lambda():
+    """(12, 2) decomposes into two trees. Zipped with one lambda they would
+    report holds=True on half the weighted total (2.17 against 4.06)."""
+    inst = generate_random_metric(12, 2)
+    hk = hk_solve(inst)
+    combo = decompose(hk)
+    assert len(combo.trees) == 2
+    with pytest.raises(ValueError, match="2 trees but 1 lambdas"):
+        cut = type(combo)(combo.trees, combo.lambdas[:1], combo.residual)
+        certificate_cost_bound(inst, hk, cut, "golden")
+
+
 def test_parity_probability_bound():
     """Over the decomposition, odd-cut mass is at most capacity - 1."""
     for seed, n in FRACTIONAL_SEEDS:

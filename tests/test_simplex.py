@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from pathtsp.simplex import LinearProgram, simplex_solve
+from pathtsp.errors import InvariantError
+from pathtsp.simplex import GAP_TOL, LinearProgram, certify_value, simplex_solve
 
 
 def test_maximize_single_variable():
@@ -84,7 +86,8 @@ def _vertex_enumeration_optimum(c, rows, bounds):
     return best
 
 
-def test_random_lp_matches_vertex_enumeration():
+def _random_lps():
+    """Eight random box-bounded LPs as (c, oracle rows, bounds, LinearProgram)."""
     rng = np.random.default_rng(5)
     for _ in range(8):
         n = 5
@@ -98,10 +101,48 @@ def test_random_lp_matches_vertex_enumeration():
         lp = LinearProgram(
             tuple(c), [-np.array(r[0]) for r in rows], [-r[2] for r in rows], 0, bounds
         )
+        yield c, rows, bounds, lp
+
+
+def test_random_lp_matches_vertex_enumeration():
+    for c, rows, bounds, lp in _random_lps():
         res = simplex_solve(lp)
         assert res.status == "optimal"
         oracle = _vertex_enumeration_optimum(c, rows, bounds)
         assert res.objective == pytest.approx(oracle, abs=1e-7)
+
+
+def test_certified_bound_brackets_the_enumerated_optimum():
+    for c, rows, bounds, lp in _random_lps():
+        res = simplex_solve(lp)
+        bound = certify_value(lp, res)
+        oracle = _vertex_enumeration_optimum(c, rows, bounds)
+        assert bound <= oracle + 1e-12 and oracle <= res.objective + 1e-12
+        y = np.maximum(res.row_duals, 0.0)  # every row is a >= row
+        scale = np.abs(c) @ np.abs(res.x) + y @ np.abs(lp.rhs)
+        assert res.objective - bound <= GAP_TOL * scale
+
+
+def test_certify_refuses_a_raised_objective():
+    _, _, _, lp = next(_random_lps())
+    res = simplex_solve(lp)
+    certify_value(lp, res)
+    with pytest.raises(InvariantError, match="not certified"):
+        certify_value(lp, dataclasses.replace(res, objective=res.objective + 1e-3))
+
+
+def test_certify_finds_no_bound_past_a_missing_upper_bound():
+    """min -x s.t. x <= 3, x >= 0 and no upper bound. The row dual 1 gives
+    the bound -3; a dual short by 1e-13 leaves x a negative reduced cost,
+    and with no upper bound to charge it at, no finite bound remains. The
+    decomposition master's columns have no upper bounds, which is why its
+    LP is not certified this way."""
+    lp = LinearProgram((-1.0,), ((-1.0,),), (-3.0,), 0, ((0.0, None),))
+    res = simplex_solve(lp)
+    assert certify_value(lp, res) == pytest.approx(-3.0)
+    short = dataclasses.replace(res, row_duals=res.row_duals - 1e-13)
+    with pytest.raises(InvariantError, match="dual bound -inf"):
+        certify_value(lp, short)
 
 
 def test_solution_respects_constraints_tightly():

@@ -32,6 +32,11 @@ def test_bom_two_vertices(solve, s, c):
     assert solve(inst) == PathSolution((s, 1 - s), c, ((0, c, 0.0, c),), 0, c, (1.0,))
 
 
+def test_path_solution_needs_one_lambda_per_tree():
+    with pytest.raises(ValueError, match="0 lambdas but 1 trees"):
+        PathSolution((0, 1), 1.0, ((0, 1.0, 0.0, 1.0),), 0, 1.0, ())
+
+
 def test_bom_unit_triangle(unit_triangle):
     sol = solve_bom(unit_triangle)
     assert sol.order == (0, 2, 1)
