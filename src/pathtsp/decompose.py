@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError, IterationLimitError, NotConnectedError
+from .errors import InvalidInstanceError, InvariantError, IterationLimitError, NotConnectedError
 from .heldkarp import HKSolution
-from .instances import EdgeVector
+from .instances import EdgeVector, edge_key
 from .simplex import LinearProgram, simplex_solve
 
 SUPPORT_EPS = 1e-9
@@ -77,11 +77,20 @@ def max_weight_spanning_tree(n: int, weights: EdgeVector) -> frozenset[tuple[int
     return frozenset(tree)
 
 
-def _tree_is_spanning(tree: frozenset, n: int) -> bool:
-    if len(tree) != n - 1:
-        return False
-    ds = _DisjointSet(n)
-    return all(ds.union(u, v) for u, v in tree)
+def check_tree(tree) -> set[int]:
+    """The vertices of an edge list that forms a tree on them; raises
+    InvalidInstanceError on a duplicate edge, a wrong edge count or a cycle."""
+    edges = [edge_key(u, v) for u, v in tree]
+    if len(set(edges)) != len(edges):
+        raise InvalidInstanceError("duplicate edges; not a tree")
+    verts = {v for e in edges for v in e}
+    if len(edges) != len(verts) - 1:
+        raise InvalidInstanceError("edge count is not |V|-1; not a tree")
+    label = {v: i for i, v in enumerate(verts)}
+    ds = _DisjointSet(len(verts))
+    if not all(ds.union(label[u], label[v]) for u, v in edges):
+        raise InvalidInstanceError("cycle detected; not a tree")
+    return verts
 
 
 def decompose(xstar: HKSolution) -> TreeCombination:
@@ -171,9 +180,11 @@ def verify_combination(xstar: HKSolution, combo: TreeCombination):
     ok = True
     support = set(x.support(SUPPORT_EPS / 2))
     for tree in combo.trees:
-        if not _tree_is_spanning(tree, n):
-            ok = False
-        if any(e not in support for e in tree):
+        try:
+            spanning = len(check_tree(tree)) == n
+        except InvalidInstanceError:
+            spanning = False
+        if not spanning or any(e not in support for e in tree):
             ok = False
     if abs(sum(combo.lambdas) - 1.0) > 1e-9 or any(l < 0 for l in combo.lambdas):
         ok = False

@@ -2,11 +2,11 @@
 prize-collecting oracles, the capacity of every cut, and matching search.
 
 Every routine has a hard size cap and refuses larger inputs. They are the
-tests' ground truth, and all but the cut capacities also run in
-production: `pd_oracle` (the default oracle of `pc_solve`) calls
-`exact_pc_path`, `solve_graphical` answers n <= 6 with `exact_path_tsp` and
-`min_tjoin` checks small matchings exhaustively. The cut scan built on
-`all_cut_capacities` lives with the tests.
+tests' ground truth, and the two DPs also run in production: `pd_oracle`
+(the default oracle of `pc_solve`) calls `exact_pc_path` and
+`solve_graphical` answers n <= 6 with `exact_path_tsp`. The cut capacities
+and the exhaustive matching serve the tests only; the cut scan built on
+`all_cut_capacities` lives with them.
 """
 
 from __future__ import annotations

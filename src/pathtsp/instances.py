@@ -182,11 +182,6 @@ class EdgeVector:
             vals[e] = vals.get(e, 0.0) + factor * w
         return EdgeVector(vals)
 
-    def pointwise(self, other: "EdgeVector") -> "EdgeVector":
-        """Componentwise product of two edge vectors."""
-        keys = set(self.values) & set(other.values)
-        return EdgeVector({e: self.values[e] * other.values[e] for e in keys})
-
     def to_matrix(self, n: int) -> np.ndarray:
         m = np.zeros((n, n))
         for (u, v), w in self.values.items():

@@ -1,4 +1,4 @@
-"""Max-flow machinery: push-relabel, min cuts, Gomory-Hu.
+"""Max-flow machinery: push-relabel, min cuts, Gomory-Hu, minimum odd cuts.
 
 Capacities are float matrices. `push_relabel` is highest-label push-relabel
 on neighbour lists, an exact replay of the dense rule: it performs the same
@@ -197,3 +197,11 @@ def gomory_hu_splits(parent: list[int]) -> list[tuple[int, frozenset[int]]]:
             stack.extend(children[u])
         out.append((v, frozenset(comp)))
     return out
+
+
+def odd_splits(weights: np.ndarray, tset) -> list[tuple[float, frozenset[int]]]:
+    """(cut value, side) of every Gomory-Hu split of weights whose side holds
+    an odd number of tset, in vertex order; the cheapest is a minimum T-odd
+    cut (Padberg and Rao, Math. Oper. Res. 7, 1982)."""
+    parent, value = gomory_hu_tree(weights)
+    return [(value[v], side) for v, side in gomory_hu_splits(parent) if len(side & tset) % 2]

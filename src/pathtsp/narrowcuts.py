@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInstanceError, InvariantError
-from .heldkarp import HKSolution
+from .heldkarp import HK_TOL, HKSolution
 from .instances import EdgeVector, Instance
-from .maxflow import cut_value, gomory_hu_splits, gomory_hu_tree, min_cut_merged, push_relabel
+from .maxflow import cut_value, gomory_hu_tree, min_cut_merged, odd_splits, push_relabel
 from .tjoin import ParitySet, wrong_parity_set
 
 FEAS_TOL = 1e-7
@@ -166,18 +166,20 @@ def compute_narrow_cuts(
     """Layered structure of all tau-narrow cuts of a Held-Karp point.
 
     The layers are the components of the Gomory-Hu tree of x* once its edges
-    below 1 + tau are removed, in s-t order. `pair_cuts` (by default a fresh
-    `pairwise_forced_cuts(xstar)`) is read for consecutive internal vertices
-    only: the forced cut (a, b) must be narrow exactly when a and b lie in
-    different layers, and (b, a) never. A narrow tree edge off the s-t path,
-    or any disagreement, raises InvariantError.
+    below min(1 + tau, 2 - HK_TOL) are removed, in s-t order: the LP holds
+    non-separating cuts to 2 - HK_TOL only, so those are never narrow.
+    `pair_cuts` (by default a fresh `pairwise_forced_cuts(xstar)`) is read
+    for consecutive internal vertices only: the forced cut (a, b) must be
+    narrow exactly when a and b lie in different layers, and (b, a) never. A
+    narrow tree edge off the s-t path, or any disagreement, raises
+    InvariantError.
     """
     if not (0.0 < tau <= 1.0):
         raise InvalidInstanceError(f"tau must be in (0, 1], got {tau}")
     n, s, t = xstar.n, xstar.s, xstar.t
     if pair_cuts is None:
         pair_cuts = pairwise_forced_cuts(xstar)
-    threshold = 1.0 + tau
+    threshold = min(1.0 + tau, 2.0 - HK_TOL)
     weights = xstar.x.to_matrix(n)
     layers = _tree_layers(weights, s, t, threshold)
 
@@ -198,7 +200,7 @@ def compute_narrow_cuts(
         cap = cut_value(weights, acc)
         if cap >= threshold:
             raise InvariantError(
-                f"derived prefix {sorted(acc)} has capacity {cap} >= 1 + tau"
+                f"derived prefix {sorted(acc)} has capacity {cap} >= {threshold}"
             )
         prefix_caps.append(cap)
 
@@ -431,13 +433,10 @@ def verify_certificate(cert: DominatorCertificate, inst: Instance) -> Certificat
     cost = cert.y.dot_costs(inst)
     if not tset:
         return CertificateReport(True, None, math.inf, cost)
-    parent, value = gomory_hu_tree(cert.y.to_matrix(inst.n))
-    worst, cut = math.inf, None
-    for v, side in gomory_hu_splits(parent):
-        if len(side & tset) % 2 == 1 and value[v] < worst:
-            worst, cut = float(value[v]), side
-    if cut is None:
+    splits = odd_splits(cert.y.to_matrix(inst.n), tset)
+    if not splits:
         raise InvariantError("no odd split found despite nonempty T")
+    worst, cut = min(splits, key=lambda split: split[0])  # the first cheapest
     return CertificateReport(worst >= 1.0 - FEAS_TOL, cut, worst, cost)
 
 

@@ -1,27 +1,28 @@
-"""Wrong-parity sets, minimum T-joins via blossom matching, Eulerian paths
+"""Wrong-parity sets, minimum T-joins via perfect matching, Eulerian paths
 and metric shortcutting.
 
 In a complete metric graph a minimum T-join is realized directly by a
 minimum-cost perfect matching on T: path unions never beat direct edges
-under the triangle inequality. Matchings at desk scale (|T| <= 10) are
-certified against an exhaustive pairing scan at construction time.
+under the triangle inequality. The matching is read off Edmonds's
+perfect-matching LP (J. Res. NBS 69B, 1965), solved by the Held-Karp
+row-generation loop with odd-set rows from `maxflow.odd_splits`; its value
+is certified by the LP duals at every |T|.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
-from .decompose import _DisjointSet
+from .decompose import check_tree
 from .errors import InvalidInstanceError, InvariantError
-from .exact import brute_force_matching
-from .instances import Instance, edge_key
-
-CERTIFY_LIMIT = 10
+from .heldkarp import HK_TOL, cut_row, edge_point, row_generation
+from .instances import Instance, all_edges, edge_key
+from .maxflow import odd_splits
 
 
 @dataclass(frozen=True)
@@ -59,24 +60,10 @@ def tree_degrees(tree: Iterable[tuple[int, int]]) -> dict[int, int]:
     return deg
 
 
-def _check_tree(tree: Sequence[tuple[int, int]]):
-    edges = [edge_key(u, v) for u, v in tree]
-    if len(set(edges)) != len(edges):
-        raise InvalidInstanceError("duplicate edges; not a tree")
-    verts = {v for e in edges for v in e}
-    if len(edges) != len(verts) - 1:
-        raise InvalidInstanceError("edge count is not |V|-1; not a tree")
-    label = {v: i for i, v in enumerate(verts)}
-    ds = _DisjointSet(len(verts))
-    for u, v in edges:
-        if not ds.union(label[u], label[v]):
-            raise InvalidInstanceError("cycle detected; not a tree")
-    return edges, verts
-
-
 def wrong_parity_set(tree: Iterable[tuple[int, int]], s: int, t: int) -> ParitySet:
     """Odd-degree internal vertices plus even-degree endpoints of the tree."""
-    edges, verts = _check_tree(list(tree))
+    edges = list(tree)
+    verts = check_tree(edges)
     if s not in verts or t not in verts:
         raise InvalidInstanceError("tree does not span the endpoints")
     deg = tree_degrees(edges)
@@ -96,33 +83,42 @@ def min_weight_perfect_matching(
 ) -> tuple[tuple[tuple[int, int], ...], float]:
     """Minimum-cost perfect matching on `points` under a cost matrix.
 
-    Backed by the blossom algorithm; for point sets of size <= 10 the result
-    is certified against the exhaustive pairing minimum.
+    Edmonds's perfect-matching LP over the pairs of points: bounds [0, 1],
+    x(delta(v)) = 1 at each point, and x(delta(S)) >= 1 on every odd S that
+    a Gomory-Hu split finds violated. The polytope is integral, so the
+    certified optimum is the matching; an entry more than 1e-6 from 0 or 1
+    raises InvariantError. The objective is divided by the power of two
+    nearest its largest |cost|, since the solver's tolerances are absolute.
     """
     pts = sorted(points)
-    if len(pts) % 2:
-        raise InvalidInstanceError(f"cannot pair an odd set of {len(pts)} points")
-    if not pts:
-        return (), 0.0
+    k = len(pts)
+    if k % 2:
+        raise InvalidInstanceError(f"cannot pair an odd set of {k} points")
     matrix = np.asarray(costs, dtype=float)
-    cost = lambda u, v: float(matrix[u, v])  # noqa: E731
-    graph = nx.Graph()
-    graph.add_nodes_from(pts)
-    for i, u in enumerate(pts):
-        for v in pts[i + 1 :]:
-            graph.add_edge(u, v, weight=cost(u, v))
-    raw = nx.min_weight_matching(graph)
-    pairs = tuple(sorted(edge_key(u, v) for u, v in raw))
-    if 2 * len(pairs) != len(pts):
+    if k <= 2:
+        pairs = (tuple(pts),) if pts else ()
+        return pairs, float(sum(matrix[u, v] for u, v in pairs))
+    edges = all_edges(k)
+    m = len(edges)
+    objective = matrix[np.ix_(pts, pts)][np.triu_indices(k, 1)]  # in edges' order
+    largest = float(np.abs(objective).max())
+    if largest > 0:
+        objective = np.ldexp(objective, -round(math.log2(largest)))
+    degree = np.array([cut_row({v}, edges, m, 1.0)[0] for v in range(k)])
+
+    def violated(z):
+        splits = odd_splits(edge_point(edges, z).to_matrix(k), frozenset(range(k)))
+        return [cut_row(side, edges, m, 1.0) for value, side in splits if value < 1.0 - HK_TOL]
+
+    res, _ = row_generation(
+        objective, [(0.0, 1.0)] * m, (degree, np.ones(k)), violated, 50 * k * k, "matching"
+    )
+    if np.abs(res.x - np.round(res.x)).max() > 1e-6:
+        raise InvariantError("matching LP optimum is fractional")
+    pairs = tuple((pts[i], pts[j]) for (i, j), v in zip(edges, res.x) if v > 0.5)
+    if sorted(v for e in pairs for v in e) != pts:
         raise InvariantError("matching is not perfect")
-    total = float(sum(cost(u, v) for u, v in pairs))
-    if len(pts) <= CERTIFY_LIMIT:
-        _, brute = brute_force_matching(pts, cost)
-        if total > brute + 1e-9 * max(1.0, abs(brute)):
-            raise InvariantError(
-                f"matching cost {total} exceeds exhaustive minimum {brute}"
-            )
-    return pairs, total
+    return pairs, float(sum(matrix[u, v] for u, v in pairs))
 
 
 def min_tjoin(inst: Instance, T: ParitySet) -> JoinResult:

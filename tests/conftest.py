@@ -37,6 +37,18 @@ def five_cycle():
     return GraphicalInstance(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)), 0, 1)
 
 
+# A cubic graph whose Held-Karp point has a non-separating cut that reads
+# 2 - 4e-16, just below the narrow threshold 1 + tau at tau = 1.
+G12 = GraphicalInstance(
+    12,
+    ((0, 5), (0, 6), (0, 11), (1, 2), (1, 9), (1, 10), (2, 3), (2, 7), (3, 9),
+     (3, 11), (4, 7), (4, 8), (4, 10), (5, 6), (5, 7), (6, 8), (8, 9), (10, 11)),
+    2,
+    9,
+)
+G12_LAYERS = ((2,), (1,), (10,), (4, 5, 6, 7, 8), (0,), (11,), (3,), (9,))
+
+
 def random_connected_graph(n: int, seed: int, density: float = 0.35) -> GraphicalInstance:
     """Random spanning-path skeleton plus density-sampled extra edges."""
     rng = np.random.default_rng(seed)

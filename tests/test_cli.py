@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import G12, G12_LAYERS
 import pathtsp
 from pathtsp.cli import main
 from pathtsp.instances import Instance, generate_random_metric, write_instance
@@ -63,6 +64,15 @@ def test_hk_and_decompose_and_narrow(unit_triangle_file, capsys):
     assert code == 0 and payload["lambdas"] == [1.0]
     code, payload, _ = run(capsys, "narrow", unit_triangle_file, "--tau", "0.5")
     assert code == 0 and payload["layers"] == [[0], [2], [1]]
+
+
+def test_narrow_at_tau_one_on_a_tight_graph(tmp_path, capsys):
+    path = tmp_path / "g12.json"
+    payload = {"type": "graph", "n": G12.n, "s": G12.s, "t": G12.t, "edges": G12.edges}
+    path.write_text(json.dumps(payload))
+    code, payload, err = run(capsys, "narrow", str(path), "--tau", "1")
+    assert code == 0 and err == ""
+    assert payload["layers"] == [list(layer) for layer in G12_LAYERS]
 
 
 def test_certify_golden(tmp_path, capsys):

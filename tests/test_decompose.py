@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import all_spanning_trees, hamiltonian_path_instance
-from pathtsp.decompose import decompose, max_weight_spanning_tree, verify_combination
-from pathtsp.errors import NotConnectedError
+from pathtsp.decompose import check_tree, decompose, max_weight_spanning_tree, verify_combination
+from pathtsp.errors import InvalidInstanceError, NotConnectedError
 from pathtsp.heldkarp import HKSolution, hk_solve
 from pathtsp.instances import EdgeVector, all_edges, generate_random_metric
 
@@ -135,3 +135,18 @@ def test_verify_rejects_off_support_edge():
     )
     ok, _ = verify_combination(hk, broken)
     assert not ok
+
+
+
+@pytest.mark.parametrize(
+    ("edges", "message"),
+    [
+        ([(0, 1), (1, 0)], "duplicate edges"),
+        ([(0, 1), (2, 3)], "edge count"),
+        ([(0, 1), (1, 2), (0, 2), (3, 4)], "cycle detected"),
+    ],
+)
+def test_check_tree_names_the_defect(edges, message):
+    assert check_tree([(5, 2), (2, 7)]) == {2, 5, 7}
+    with pytest.raises(InvalidInstanceError, match=message):
+        check_tree(edges)

@@ -250,7 +250,6 @@ def test_edge_vector_operations():
     assert x.get(1, 0) == 1.0
     assert x.cut({1}) == 3.0
     assert x.add(y).get(1, 2) == 5.0
-    assert x.pointwise(y).values == {(1, 2): 6.0}
     assert x.scale(2.0).total() == 6.0
     with pytest.raises(ValueError):
         EdgeVector({(1, 1): 2.0})

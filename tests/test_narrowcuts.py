@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    G12,
+    G12_LAYERS,
     edmonds_karp,
     enumerate_cut_check,
     forced_cuts_eager,
@@ -15,7 +17,7 @@ from pathtsp.decompose import decompose
 from pathtsp.errors import InvalidInstanceError, InvariantError
 from pathtsp.exact import all_cut_capacities
 from pathtsp.heldkarp import HKSolution, hk_solve
-from pathtsp.instances import EdgeVector, generate_random_metric
+from pathtsp.instances import EdgeVector, generate_random_metric, metric_closure
 from pathtsp.narrowcuts import (
     ALPHA_BETA,
     GUARANTEE,
@@ -145,6 +147,16 @@ def test_endpoint_sharing_a_layer_raises():
     hk = HKSolution(x, 0.0, 0, 5, 0, 4)
     with pytest.raises(InvariantError, match="endpoint shares"):
         compute_narrow_cuts(hk, 0.5)
+
+
+def test_tau_one_leaves_tight_nonseparating_cuts_wide():
+    """A Gomory-Hu edge of G12's x* reads 2 - 4e-16 off the s-t path; at
+    tau = 1 it is a tight non-separating cut, not a narrow one, so the
+    layers equal those at tau = 0.999."""
+    hk = hk_solve(metric_closure(G12))
+    at_one, below = compute_narrow_cuts(hk, 1.0), compute_narrow_cuts(hk, 0.999)
+    assert at_one.layers == below.layers == G12_LAYERS
+    assert at_one.prefix_caps == below.prefix_caps
 
 
 NARROW_TAUS = (0.05, 1.0 / 7.0, 0.3, 0.5, 3.0 - math.sqrt(5.0), 1.0 - 0.12297, 1.0)

@@ -1,14 +1,20 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hamiltonian_path_instance
-from pathtsp.errors import InvalidInstanceError
+from pathtsp import heldkarp, tjoin
+from pathtsp.errors import InvalidInstanceError, InvariantError
 from pathtsp.exact import all_cut_capacities, brute_force_matching, exact_path_tsp
 from pathtsp.heldkarp import hk_solve
 from pathtsp.decompose import decompose
 from pathtsp.instances import EdgeVector, generate_random_metric
+from pathtsp.simplex import SimplexResult, simplex_solve
 from pathtsp.tjoin import (
     ParitySet,
     eulerian_path,
@@ -210,3 +216,81 @@ def test_odd_cut_crossing_parity(seed):
         if len(side & set(tset)) % 2 == 1:
             crossings = int(round(caps[i]))
             assert crossings >= 2 and crossings % 2 == 0
+
+
+def _l1_lattice(side):
+    """L1 distances on a side x side integer grid: many tied pairings."""
+    grid = np.array([(i, j) for i in range(side) for j in range(side)], dtype=float)
+    return np.abs(grid[:, None, :] - grid[None, :, :]).sum(axis=2)
+
+
+def _brute(pts, costs):
+    return brute_force_matching(pts, lambda u, v: float(costs[u, v]))
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
+@pytest.mark.parametrize("seed", range(3))
+def test_matching_equals_exhaustive_at_every_size(k, seed):
+    rng = np.random.default_rng(seed)
+    for costs in (generate_random_metric(k + 3, seed).cost, _l1_lattice(4)):
+        pts = sorted(rng.choice(len(costs), k, replace=False).tolist())
+        pairs, cost = min_weight_perfect_matching(pts, costs)
+        assert sorted(v for e in pairs for v in e) == pts
+        assert cost == pytest.approx(_brute(pts, costs)[1], rel=1e-12, abs=1e-12)
+        assert cost == sum(costs[u, v] for u, v in pairs)
+
+
+@pytest.mark.parametrize("factor", [1e-10, 1e-8, 1e-6, 1e6, 1e12, 1e20])
+def test_matching_equals_exhaustive_at_any_cost_scale(factor):
+    for seed in range(8):
+        costs = generate_random_metric(14, seed).cost * factor
+        pts = list(range(4 + 2 * (seed % 4)))
+        _, cost = min_weight_perfect_matching(pts, costs)
+        assert cost == pytest.approx(_brute(pts, costs)[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [4, 16, 40])
+def test_matching_on_a_line_pairs_consecutive_points(k):
+    x = np.random.default_rng(k).random(k)  # labels are unsorted along the line
+    costs = np.abs(x[:, None] - x[None, :])
+    pairs, cost = min_weight_perfect_matching(range(k), costs)
+    line = np.argsort(x).tolist()
+    expected = sorted(tuple(sorted(line[i : i + 2])) for i in range(0, k, 2))
+    assert list(pairs) == expected
+    assert cost == pytest.approx(sum(costs[u, v] for u, v in expected), rel=1e-12)
+
+
+def test_matching_adds_odd_set_rows_when_degrees_alone_are_fractional(monkeypatch):
+    """Two unit triangles 100 apart: with degree rows only the LP optimum is
+    1/2 on each triangle edge, so odd-set rows must cut it off."""
+    cluster = np.array([0, 0, 0, 1, 1, 1])
+    costs = np.where(cluster[:, None] == cluster[None, :], 1.0, 100.0) - np.eye(6)
+    solves = []
+
+    def counting(lp):
+        solves.append(lp)
+        return simplex_solve(lp)
+
+    monkeypatch.setattr(heldkarp, "simplex_solve", counting)
+    pairs, cost = min_weight_perfect_matching(range(6), costs)
+    assert cost == _brute(range(6), costs)[1] == 102.0
+    assert len(solves) >= 2 and len(solves[-1].rows) > 6
+
+
+@pytest.mark.parametrize(
+    ("x", "message"), [(0.5, "fractional"), (0.0, "not perfect")], ids=["half", "empty"]
+)
+def test_matching_refuses_a_point_that_is_not_a_matching(monkeypatch, x, message):
+    def fake(objective, *_):
+        return SimplexResult("optimal", np.full(len(objective), x), 0.0, None), 1
+
+    monkeypatch.setattr(tjoin, "row_generation", fake)
+    with pytest.raises(InvariantError, match=message):
+        min_weight_perfect_matching(range(4), np.ones((4, 4)))
+
+
+def test_import_leaves_networkx_unloaded():
+    code = "import sys, pathtsp; print('networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0 and out.stdout.strip() == "False", out.stderr
